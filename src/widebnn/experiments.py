@@ -66,6 +66,14 @@ class ExperimentConfig:
             raise ConfigError("n_proposals must be >= 1")
         if self.target_rule not in TARGET_RULES:
             raise ConfigError(f"target_rule must be one of {TARGET_RULES}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.workers) or self.workers < 1:
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _take(obj: dict, allowed: dict, where: str) -> dict:
@@ -231,7 +239,18 @@ def linreg_rates_csv(n_grid: Sequence[int], m: int, seed: int, path: str) -> Lis
     """Rate study CSV: per-n discrepancies plus a footer of log-log slopes.
 
     The W2 columns report the unsquared distance (root of the squared form
-    computed internally)."""
+    computed internally). A grid the study cannot run raises
+    :class:`ConfigError`: fewer than two points (no slope), not strictly
+    increasing, or a point below ``m``."""
+    n_grid = [int(n) for n in n_grid]
+    if len(n_grid) < 2:
+        raise ConfigError("n_grid needs at least two points for the slope footer")
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ConfigError("n_grid must be strictly increasing")
+    if m < 1:
+        raise ConfigError("m must be >= 1")
+    if n_grid[0] < m:
+        raise ConfigError(f"every n must be >= m = {m}")
     rows = rate_sweep(n_grid=n_grid, m=m, seed=seed)
     ns = [r.n for r in rows]
     cols = {

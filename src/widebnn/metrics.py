@@ -2,6 +2,15 @@
 
 ``w2_gaussian`` returns the *squared* 2-Wasserstein distance (the Bures form
 in the covariances); callers that report an unsquared "W2" take the root.
+
+Both Gaussian routes are general full-matrix routes that factor each
+covariance once and never form eigenvectors. ``w2_gaussian`` factors
+Q = F F^T (Cholesky, or the symmetric square root when Q is only
+semidefinite) and takes the Bures trace term tr (Q^1/2 P Q^1/2)^1/2 as the
+sum of square roots of the eigenvalues of F^T P F, which has the same
+spectrum. ``kl_gaussian`` reuses the Cholesky factors L_Q and L_P:
+tr(Q^-1 P) = ||L_Q^-1 L_P||_F^2 and the quadratic form is ||L_Q^-1 dmu||^2,
+both by triangular solves.
 """
 
 from __future__ import annotations
@@ -10,8 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularDistribution, ZeroReference
-from .numkit import as_matrix, cholesky, solve_spd, sym_sqrt
+from .errors import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    SingularDistribution,
+    ZeroReference,
+)
+from .numkit import as_matrix, check_symmetric, cholesky, clip_psd, psd_factor
 
 __all__ = ["GaussianDist", "rel_frobenius", "w2_gaussian", "kl_gaussian"]
 
@@ -48,32 +62,41 @@ def rel_frobenius(a, b) -> float:
 
 
 def w2_gaussian(p: GaussianDist, q: GaussianDist) -> float:
-    """Squared 2-Wasserstein distance between two Gaussians (Bures form)."""
+    """Squared 2-Wasserstein distance between two Gaussians (Bures form).
+
+    Raises :class:`DimensionMismatch` for an asymmetric covariance and
+    :class:`NotPSD` for an indefinite one (P is checked through F^T P F).
+    """
     if p.dim != q.dim:
         raise DimensionMismatch("distributions have different dimensions")
+    check_symmetric(p.cov, "P covariance")
+    f = psd_factor(q.cov)
+    lam = clip_psd(np.linalg.eigvalsh(f.T @ p.cov @ f))
     dm = p.mean - q.mean
-    sq = sym_sqrt(q.cov)
-    inner = sym_sqrt(sq @ p.cov @ sq)
-    val = dm @ dm + np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.trace(inner)
+    val = dm @ dm + np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.sum(np.sqrt(lam))
     return float(max(val, 0.0))
 
 
 def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     """KL(P || Q) for Gaussians; Q must be strictly positive definite and P
     non-singular. Determinants come from Cholesky factors for stability."""
+    import scipy.linalg
+
     if p.dim != q.dim:
         raise DimensionMismatch("distributions have different dimensions")
     lq = cholesky(q.cov)
     try:
         lp = cholesky(p.cov)
-    except Exception as exc:
+    except NotPositiveDefinite as exc:
         raise SingularDistribution("P covariance is singular") from exc
     if np.any(np.diag(lp) <= 0.0):
         raise SingularDistribution("P covariance is singular")
     dim = p.dim
-    trace = float(np.trace(solve_spd(q.cov, p.cov)))
-    dm = q.mean - p.mean
-    quad = float(dm @ solve_spd(q.cov, dm))
+    a = scipy.linalg.solve_triangular(lq, lp, lower=True, check_finite=False)
+    b = scipy.linalg.solve_triangular(lq, q.mean - p.mean, lower=True,
+                                      check_finite=False)
+    trace = float(np.vdot(a, a))
+    quad = float(b @ b)
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(lq))))
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(lp))))
     val = 0.5 * (trace + quad - dim + logdet_q - logdet_p)

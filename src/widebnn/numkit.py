@@ -20,6 +20,9 @@ __all__ = [
     "cholesky",
     "solve_spd",
     "sym_sqrt",
+    "psd_factor",
+    "clip_psd",
+    "check_symmetric",
     "GaussianStream",
 ]
 
@@ -40,7 +43,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _check_symmetric(a: np.ndarray, name: str) -> None:
+def check_symmetric(a: np.ndarray, name: str) -> None:
+    """Raise :class:`DimensionMismatch` unless ``a`` is square and symmetric
+    within a tolerance relative to its largest entry."""
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
     scale = np.abs(a).max()
@@ -56,7 +61,7 @@ def cholesky(a) -> np.ndarray:
     semidefinite only up to rounding.
     """
     m = as_matrix(a, "A")
-    _check_symmetric(m, "A")
+    check_symmetric(m, "A")
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -96,14 +101,38 @@ def sym_sqrt(a) -> np.ndarray:
     negative raises :class:`NotPSD`.
     """
     m = as_matrix(a, "A")
-    _check_symmetric(m, "A")
+    check_symmetric(m, "A")
     w, v = np.linalg.eigh(m)
+    s = (v * np.sqrt(clip_psd(w))) @ v.T
+    return (s + s.T) / 2.0
+
+
+def clip_psd(w: np.ndarray) -> np.ndarray:
+    """Clamp ascending eigenvalues of a PSD matrix to be nonnegative.
+
+    Eigenvalues in ``[-1e-10 * scale, 0)`` become zero; anything more
+    negative raises :class:`NotPSD`.
+    """
     tol = _PSD_TOL * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
     if w.size and w[0] < -tol:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below PSD tolerance")
-    w = np.clip(w, 0.0, None)
-    s = (v * np.sqrt(w)) @ v.T
-    return (s + s.T) / 2.0
+    return np.clip(w, 0.0, None)
+
+
+def psd_factor(a) -> np.ndarray:
+    """A factor ``F`` with ``A = F F^T`` of a symmetric PSD matrix.
+
+    ``F`` is the lower Cholesky factor when ``A`` is positive definite, and
+    the symmetric square root (:func:`sym_sqrt`) only when Cholesky fails, as
+    for a point mass or a rank-deficient covariance. No jitter is added, so
+    ``F F^T`` reproduces ``A`` to rounding.
+    """
+    m = as_matrix(a, "A")
+    check_symmetric(m, "A")
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return sym_sqrt(m)
 
 
 class GaussianStream:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.special
 
-from .errors import DimensionMismatch, InsufficientSamples
+from .errors import DimensionMismatch, InsufficientSamples, NotPositiveDefinite
 from .likelihood import LikelihoodSpec, log_likelihood_batch
 from .network import NetworkConfig, layer_cov, nonlinearity_fn
 from .numkit import GaussianStream, as_matrix, solve_spd
@@ -252,7 +252,8 @@ def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
 
 
 def _chol_batch(cov: np.ndarray, m: int) -> np.ndarray:
-    """Batched Cholesky with escalating relative jitter."""
+    """Batched Cholesky with escalating relative jitter, up to 1e-4; raises
+    :class:`NotPositiveDefinite` when that fails too."""
     tr = np.trace(cov, axis1=-2, axis2=-1)
     eye = np.eye(m)
     jitter = 1e-12
@@ -263,7 +264,9 @@ def _chol_batch(cov: np.ndarray, m: int) -> np.ndarray:
         except np.linalg.LinAlgError:
             jitter *= 100.0
             if jitter > 1e-4:
-                raise
+                raise NotPositiveDefinite(
+                    "batched matrix is not positive definite (jitter up to 1e-4)"
+                ) from None
 
 
 class _FunctionPlan:

@@ -76,6 +76,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True, None])
+    def test_workers_must_be_a_positive_int(self, workers):
+        with pytest.raises(ConfigError):
+            config_from_dict(base_doc(workers=workers))
+
+    @pytest.mark.parametrize("seed", [1.5, "x", "3", True, None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ConfigError):
+            config_from_dict(base_doc(seed=seed))
+
     def test_load_config_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -235,6 +245,20 @@ class TestCli:
         assert code == 0 and out.exists()
         assert cli.main(["linreg-rates", "--n-grid", "abc",
                          "--m", "4", "--seed", "1", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("grid,m", [("8,4", 2), ("16", 8), ("4,16,32", 8),
+                                        ("16,32", 0)])
+    def test_linreg_rates_bad_grid_exit_code(self, tmp_path, grid, m):
+        out = tmp_path / "rates.csv"
+        assert cli.main(["linreg-rates", "--n-grid", grid, "--m", str(m),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("workers", "2"), ("workers", 0),
+                                             ("seed", "x"), ("seed", 1.5)])
+    def test_sample_bad_workers_or_seed_exit_code(self, tmp_path, field, value):
+        cfg = self.write_config(tmp_path, **{field: value})
+        assert cli.main(["sample", "--config", str(cfg), "--width", "8"]) == 2
 
     def test_nngp_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

@@ -1,8 +1,57 @@
 import numpy as np
 import pytest
 
-from widebnn.errors import DimensionMismatch, SingularDistribution, ZeroReference
+from widebnn.errors import (
+    DimensionMismatch,
+    NotPSD,
+    SingularDistribution,
+    ZeroReference,
+)
 from widebnn.metrics import GaussianDist, kl_gaussian, rel_frobenius, w2_gaussian
+
+
+def _eigh_sqrt(a):
+    w, v = np.linalg.eigh(a)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
+def w2_reference(p, q):
+    """Squared W2 through two full eigendecompositions:
+    |dmu|^2 + tr P + tr Q - 2 tr (Q^1/2 P Q^1/2)^1/2."""
+    sq = _eigh_sqrt(q.cov)
+    inner = _eigh_sqrt(sq @ p.cov @ sq)
+    dm = p.mean - q.mean
+    return dm @ dm + np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.trace(inner)
+
+
+def kl_reference(p, q):
+    """KL(P || Q) through a dense solve and log-determinants."""
+    dm = q.mean - p.mean
+    trace = np.trace(np.linalg.solve(q.cov, p.cov))
+    quad = dm @ np.linalg.solve(q.cov, dm)
+    logdet_q = np.linalg.slogdet(q.cov)[1]
+    logdet_p = np.linalg.slogdet(p.cov)[1]
+    return 0.5 * (trace + quad - p.dim + logdet_q - logdet_p)
+
+
+def random_pd(rng, n):
+    a = rng.standard_normal((n, n))
+    return a @ a.T / n + 0.1 * np.eye(n)
+
+
+def random_psd(rng, n, rank):
+    b = rng.standard_normal((n, rank))
+    return b @ b.T / rank
+
+
+def random_dist(rng, cov):
+    return GaussianDist(rng.standard_normal(cov.shape[0]), cov)
+
+
+def asymmetric(n):
+    cov = np.eye(n)
+    cov[0, 1] = 0.5
+    return cov
 
 
 class TestRelFrobenius:
@@ -66,6 +115,52 @@ class TestW2:
         assert np.isclose(w2_gaussian(p, q), want)
 
 
+    @pytest.mark.parametrize("n", [1, 5, 50, 300])
+    def test_random_pd_pairs_match_eigh_reference(self, n):
+        rng = np.random.default_rng(n)
+        p = random_dist(rng, random_pd(rng, n))
+        q = random_dist(rng, random_pd(rng, n))
+        want = w2_reference(p, q)
+        assert abs(w2_gaussian(p, q) - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("side", ["p", "q"])
+    @pytest.mark.parametrize("n,rank", [(5, 1), (50, 5), (300, 30)])
+    def test_rank_deficient_matches_eigh_reference(self, side, n, rank):
+        rng = np.random.default_rng(10 * n + rank)
+        low = random_dist(rng, random_psd(rng, n, rank))
+        full = random_dist(rng, random_pd(rng, n))
+        p, q = (low, full) if side == "p" else (full, low)
+        want = w2_reference(p, q)
+        assert abs(w2_gaussian(p, q) - want) <= 1e-7 * abs(want)
+
+    @pytest.mark.parametrize("n", [1, 5, 50])
+    def test_point_mass_on_either_side(self, n):
+        rng = np.random.default_rng(n)
+        point = GaussianDist(rng.standard_normal(n), np.zeros((n, n)))
+        full = random_dist(rng, random_pd(rng, n))
+        dm = point.mean - full.mean
+        want = dm @ dm + np.trace(full.cov)
+        for p, q in [(point, full), (full, point)]:
+            assert abs(w2_gaussian(p, q) - want) <= 1e-12 * want
+
+    def test_indefinite_covariance_raises(self):
+        rng = np.random.default_rng(3)
+        bad = GaussianDist(np.zeros(4), np.diag([1.0, 2.0, -0.5, 1.0]))
+        good = random_dist(rng, random_pd(rng, 4))
+        with pytest.raises(NotPSD):
+            w2_gaussian(bad, good)
+        with pytest.raises(NotPSD):
+            w2_gaussian(good, bad)
+
+    def test_asymmetric_covariance_raises(self):
+        bad = GaussianDist(np.zeros(3), asymmetric(3))
+        good = GaussianDist(np.zeros(3), np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            w2_gaussian(bad, good)
+        with pytest.raises(DimensionMismatch):
+            w2_gaussian(good, bad)
+
+
 class TestKL:
     def test_self_is_zero(self):
         p = GaussianDist([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])
@@ -87,6 +182,22 @@ class TestKL:
         q = GaussianDist(np.zeros(2), np.eye(2))
         with pytest.raises(SingularDistribution):
             kl_gaussian(p, q)
+
+    @pytest.mark.parametrize("n", [1, 5, 50, 300])
+    def test_random_pd_pairs_match_dense_reference(self, n):
+        rng = np.random.default_rng(n)
+        p = random_dist(rng, random_pd(rng, n))
+        q = random_dist(rng, random_pd(rng, n))
+        want = kl_reference(p, q)
+        assert abs(kl_gaussian(p, q) - want) <= 1e-10 * abs(want)
+
+    def test_asymmetric_covariance_is_not_reported_singular(self):
+        bad = GaussianDist(np.zeros(3), asymmetric(3))
+        good = GaussianDist(np.zeros(3), np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            kl_gaussian(bad, good)
+        with pytest.raises(DimensionMismatch):
+            kl_gaussian(good, bad)
 
     def test_dimension_check(self):
         p = GaussianDist(np.zeros(2), np.eye(2))

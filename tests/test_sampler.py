@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from widebnn.errors import DimensionMismatch, InsufficientSamples
+from widebnn.errors import DimensionMismatch, InsufficientSamples, NotPositiveDefinite
 from widebnn.kernels import nngp_kernel
 from widebnn.likelihood import LikelihoodSpec
 from widebnn.linreg import LinRegProblem, linreg_predictive
 from widebnn.network import NetworkConfig
 from widebnn.sampler import (
     MomentAccumulator,
+    _chol_batch,
     accumulate,
     finalize,
     merge,
@@ -180,3 +181,9 @@ class TestRejectionSampler:
         with pytest.raises(DimensionMismatch):
             rejection_sample(linear_config(), np.zeros((2, 3)), TY[:2], LIK, EX,
                              10, seed=0)
+
+
+def test_chol_batch_failure_is_not_positive_definite():
+    batch = np.stack([np.eye(3), -np.eye(3)])
+    with pytest.raises(NotPositiveDefinite):
+        _chol_batch(batch, 3)
