@@ -29,6 +29,7 @@ __all__ = [
 _SYM_RTOL = 1e-12
 _JITTER_REL = 1e-10
 _PSD_TOL = 1e-10
+_PHILOX_ZERO_BLOCK = (0, 0, 0, 0)  # one 4x64-bit Philox counter block
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -48,9 +49,12 @@ def check_symmetric(a: np.ndarray, name: str) -> None:
     within a tolerance relative to its largest entry."""
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
-    scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - a.T).max() > _SYM_RTOL * max(scale, 1.0) * a.shape[0]:
-        raise DimensionMismatch(f"{name} is not symmetric within tolerance")
+    # max|x| as max(max x, -min x): two passes and no |a| temporary.
+    scale = max(a.max(), -a.min())
+    if scale > 0:
+        skew = a - a.T
+        if max(skew.max(), -skew.min()) > _SYM_RTOL * max(scale, 1.0) * a.shape[0]:
+            raise DimensionMismatch(f"{name} is not symmetric within tolerance")
 
 
 def cholesky(a) -> np.ndarray:
@@ -148,16 +152,37 @@ class GaussianStream:
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
+        # A fixed seed only builds the generator (no OS entropy is drawn);
+        # rekey then sets its whole state.
+        self._gen = np.random.Generator(np.random.Philox(0))
+        self.rekey(stream_id)
+
+    def rekey(self, stream_id: int) -> None:
+        """Restart this stream as ``GaussianStream(self.seed, stream_id)``.
+
+        Sets the Philox key to ``(seed, stream_id)`` modulo 2**64, the
+        counter to 0 and the buffer to empty, which is the state a freshly
+        keyed Philox starts in, so the numbers drawn afterwards are the same
+        bit for bit. Much cheaper than building a new generator.
+        """
         self.stream_id = int(stream_id)
         self._path = ()
-        key = np.array(
-            [self.seed % (1 << 64), self.stream_id % (1 << 64)], dtype=np.uint64
-        )
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": _PHILOX_ZERO_BLOCK,
+                "key": (self.seed % (1 << 64), self.stream_id % (1 << 64)),
+            },
+            "buffer": _PHILOX_ZERO_BLOCK,
+            "buffer_pos": len(_PHILOX_ZERO_BLOCK),  # buffer used up
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
-    def normal(self, count: int) -> np.ndarray:
-        """Draw ``count`` standard normal float64 values."""
-        return self._gen.standard_normal(int(count))
+    def normal(self, count: int, out: np.ndarray = None) -> np.ndarray:
+        """Draw ``count`` standard normal float64 values, into ``out`` if
+        given (a float64 array of ``count`` elements), and return them."""
+        return self._gen.standard_normal(int(count), out=out)
 
     def split(self, count: int) -> list:
         """``count`` independent substreams, then move this stream past them.

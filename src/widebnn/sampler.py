@@ -18,8 +18,13 @@ Two internal evaluation paths produce identically distributed results:
   the O(width^2) weight materialisation, which is what makes wide-network
   sweeps tractable, and is distributionally exact, not an approximation.
 
-``mode="auto"`` picks ``parameter`` unless the network is too large and no
-parameter recording was requested.
+``mode="auto"`` picks the mode that draws fewer normals per proposal:
+``parameter`` draws ``n_params + 1``, ``function`` draws
+``(depth * width + output_dim) * m_train + 1``. It picks ``parameter`` on a
+tie and whenever parameter recording is requested. The counts leave out the
+accept path, where function mode conditions every accepted proposal on its
+train path, so at acceptance rates of a percent or more parameter mode can
+be the faster one at small widths.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ __all__ = [
 ]
 
 _BATCH_BUDGET = 1 << 21  # doubles held per gather batch (~16 MB)
-_AUTO_PARAM_LIMIT = 200_000
 
 
 @dataclass
@@ -71,6 +75,25 @@ class MomentAccumulator:
         # (x - new_mean) is delta * (count-1)/count, so the outer product
         # stays exactly symmetric.
         self.scatter += np.outer(delta, delta) * ((self.count - 1) / self.count)
+
+    def update_block(self, samples) -> None:
+        """Add every row of ``samples`` at once.
+
+        The block's mean and centred scatter (one matmul) are merged in by
+        :meth:`merge_in`, the pairwise update of Chan, Golub & LeVeque
+        (1979); the result equals sequential :meth:`update` up to rounding.
+        """
+        x = np.asarray(samples, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.mean.size:
+            raise DimensionMismatch("sample dimension does not match accumulator")
+        if x.shape[0] == 0:
+            return
+        mean = x.mean(axis=0)
+        centred = x - mean
+        scatter = centred.T @ centred
+        # Averaging with the transpose makes the block scatter exactly
+        # symmetric whatever product the BLAS computed.
+        self.merge_in(MomentAccumulator(x.shape[0], mean, (scatter + scatter.T) / 2.0))
 
     def merge_in(self, other: "MomentAccumulator") -> None:
         if other.mean.size != self.mean.size:
@@ -122,11 +145,15 @@ class _ScalarStats:
         self.mean = np.zeros(k)
         self.m2 = np.zeros(k)
 
-    def update(self, values: np.ndarray) -> None:
-        self.count += 1
-        delta = values - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (values - self.mean)
+    def update_block(self, values: np.ndarray) -> None:
+        """Add every row of ``values`` at once, merged in by :meth:`merge_in`."""
+        if len(values) == 0:
+            return
+        block = _ScalarStats(values.shape[1])
+        block.count = len(values)
+        block.mean = values.mean(axis=0)
+        block.m2 = np.square(values - block.mean).sum(axis=0)
+        self.merge_in(block)
 
     def merge_in(self, other: "_ScalarStats") -> None:
         if other.count == 0:
@@ -209,9 +236,13 @@ def _forward_raw_batch(z: np.ndarray, config: NetworkConfig, x: np.ndarray) -> n
 
 
 def _gather(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
+    """Row j holds the first ``count`` normals of proposal ``lo + j``'s stream,
+    ``GaussianStream(seed, lo + j)``; one stream is re-keyed per row."""
     z = np.empty((hi - lo, count))
-    for j, i in enumerate(range(lo, hi)):
-        z[j] = GaussianStream(seed, i).normal(count)
+    stream = GaussianStream(seed, lo)
+    for j in range(hi - lo):
+        stream.rekey(lo + j)
+        stream.normal(count, out=z[j])
     return z
 
 
@@ -241,12 +272,9 @@ def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
         if hit.size:
             accepts += int(hit.size)
             f_eval = _forward_raw_batch(z[hit, :n_par], config, eval_x)
-            for j in range(hit.size):
-                acc.update(f_eval[j].reshape(-1))
+            acc.update_block(f_eval.reshape(hit.size, -1))
             if pstats is not None:
-                vals = z[hit][:, indices] * scales
-                for j in range(hit.size):
-                    pstats.update(vals[j])
+                pstats.update_block(z[hit][:, indices] * scales)
         pos = end
     return _ChunkResult(accepts, acc, pstats)
 
@@ -384,18 +412,17 @@ def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi,
             accepts += int(hit.size)
             # Continue each accepted proposal's stream past its train draws.
             z_eval = np.empty((hit.size, eval_total))
+            stream = GaussianStream(seed, pos)
             for j, local in enumerate(hit):
-                s = GaussianStream(seed, pos + int(local))
-                s.normal(plan.total_train)
-                z_eval[j] = s.normal(eval_total)
+                stream.rekey(pos + int(local))
+                stream.normal(plan.total_train)
+                stream.normal(eval_total, out=z_eval[j])
             if mt > 0:
                 picked = [layer[hit] for layer in train_layers]
                 f_t = _extend_to_eval(plan, picked, z_eval)
             else:
                 f_t = _unconditional_eval(plan, z_eval)
-            flat = np.swapaxes(f_t, 1, 2).reshape(hit.size, -1)
-            for j in range(hit.size):
-                acc.update(flat[j])
+            acc.update_block(np.swapaxes(f_t, 1, 2).reshape(hit.size, -1))
         pos = end
     return _ChunkResult(accepts, acc, None)
 
@@ -461,7 +488,11 @@ def rejection_sample(
         raise DimensionMismatch("eval_X columns must equal input_dim")
 
     if mode == "auto":
-        if record_params is not None or config.n_params <= _AUTO_PARAM_LIMIT:
+        # Normals per proposal: all parameters, or every sampled layer's
+        # train activations; each mode adds the acceptance normal.
+        function_normals = (config.depth * config.hidden_width
+                            + config.output_dim) * train_x.shape[0] + 1
+        if record_params is not None or config.n_params + 1 <= function_normals:
             mode = "parameter"
         else:
             mode = "function"

@@ -29,6 +29,28 @@ class TestCholesky:
         low = cholesky(a)
         assert np.allclose(low @ low.T, a, atol=1e-6)
 
+    def test_symmetry_tolerance_is_sharp(self):
+        # The tolerance is 1e-12 * max(max |a|, 1) * dim; with a zero
+        # off-diagonal pair, the asymmetry is exactly the entry put in.
+        a = np.diag([2.0, 1.0, -0.5, 1.5]) + 1.5 * np.eye(4)
+        tol = 1e-12 * 3.5 * 4
+        above, below = a.copy(), a.copy()
+        above[0, 1] = 1.01 * tol
+        below[0, 1] = 0.99 * tol
+        with pytest.raises(DimensionMismatch):
+            cholesky(above)
+        low = cholesky(below)
+        assert np.allclose(low @ low.T, (below + below.T) / 2)
+        # The scale is the largest magnitude, also when it is a negative entry.
+        neg = np.eye(2) * 1e-3
+        neg[1, 0] = -2.0
+        neg[0, 1] = -2.0 + 0.99 * 1e-12 * 2.0 * 2
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(neg)  # symmetric within tolerance, then indefinite
+        neg[0, 1] = -2.0 + 1.01 * 1e-12 * 2.0 * 2
+        with pytest.raises(DimensionMismatch):
+            cholesky(neg)
+
 
 class TestSolveSpd:
     def test_matches_inverse(self):
@@ -108,6 +130,29 @@ class TestGaussianStream:
         assert np.array_equal(np.concatenate([head, subs[0].normal(10)]), both)
         assert repr(subs[1]) == "GaussianStream(seed=5, stream_id=5, substream=(1,))"
         assert repr(subs[1].split(1)[0]).endswith("substream=(1, 0))")
+
+    @pytest.mark.parametrize("stream_id", [0, 2**40, 2**63 + 5, -7])
+    def test_rekey_matches_a_fresh_stream(self, stream_id):
+        s = GaussianStream(42, 3)
+        for count in (1, 3, 4, 5, 17, 12005):
+            s.normal(3)  # leave a partial Philox block buffered
+            s.rekey(stream_id)
+            assert s.stream_id == stream_id
+            assert np.array_equal(s.normal(count),
+                                  GaussianStream(42, stream_id).normal(count))
+
+    def test_rekey_a_substream(self):
+        sub = GaussianStream(5, 5).split(3)[2]
+        sub.normal(7)
+        sub.rekey(11)
+        assert repr(sub) == "GaussianStream(seed=5, stream_id=11)"
+        assert np.array_equal(sub.normal(1000), GaussianStream(5, 11).normal(1000))
+
+    def test_normal_into_out(self):
+        out = np.full(9, np.nan)
+        got = GaussianStream(3, 4).normal(9, out=out)
+        assert got is out
+        assert np.array_equal(out, GaussianStream(3, 4).normal(9))
 
     def test_marginals(self):
         z = GaussianStream(9, 0).normal(200_000)

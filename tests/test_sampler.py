@@ -6,9 +6,11 @@ from widebnn.kernels import nngp_kernel
 from widebnn.likelihood import LikelihoodSpec
 from widebnn.linreg import LinRegProblem, linreg_predictive
 from widebnn.network import NetworkConfig
+from widebnn.numkit import GaussianStream
 from widebnn.sampler import (
     MomentAccumulator,
     _chol_batch,
+    _gather,
     accumulate,
     finalize,
     merge,
@@ -72,6 +74,40 @@ class TestMomentAccumulator:
         acc = MomentAccumulator.zeros(2)
         with pytest.raises(DimensionMismatch):
             acc.update([1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatch):
+            acc.update_block(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 300])
+    def test_block_update_matches_numpy_and_sequential(self, rows):
+        rng = np.random.default_rng(3)
+        head = rng.standard_normal((7, 6)) + 5.0
+        block = rng.standard_normal((rows, 6)) * 2.0 - 1.0
+        seq = MomentAccumulator.zeros(6)
+        for s in head:
+            seq.update(s)
+        blocked = merge(seq, MomentAccumulator.zeros(6))
+        blocked.update_block(block)
+        for s in block:
+            seq.update(s)
+        assert blocked.count == seq.count == 7 + rows
+        assert np.allclose(blocked.mean, seq.mean, rtol=1e-12, atol=0)
+        assert np.allclose(blocked.scatter, seq.scatter, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(blocked.scatter, blocked.scatter.T)
+        both = np.vstack([head, block])
+        mean, cov = finalize(blocked)
+        assert np.allclose(mean, both.mean(axis=0))
+        assert np.allclose(cov, np.cov(both.T))
+
+    @pytest.mark.parametrize("rows", [0, 1, 300])
+    def test_block_update_from_empty(self, rows):
+        block = np.random.default_rng(4).standard_normal((rows, 5))
+        acc = MomentAccumulator.zeros(5)
+        acc.update_block(block)
+        assert acc.count == rows
+        assert np.array_equal(acc.scatter, acc.scatter.T)
+        centred = block - block.mean(axis=0) if rows else block
+        assert np.allclose(acc.mean, block.mean(axis=0) if rows else 0.0)
+        assert np.allclose(acc.scatter, centred.T @ centred)
 
 
 def linear_config():
@@ -148,6 +184,24 @@ class TestRejectionSampler:
         cfg_big = NetworkConfig(depth=3, input_dim=1, output_dim=1, hidden_width=400)
         r = rejection_sample(cfg_big, TX, TY, LIK, EX, 512, seed=0)
         assert r.mode == "function"
+        # The default sweep's depth 3 on 4 train points: width 10 has 251
+        # parameters against (3*10 + 1)*4 train activations, width 1 has 8
+        # against (3*1 + 1)*4.
+        tx4 = np.linspace(-1, 1, 4)[:, None]
+        ty4 = np.sin(tx4)
+        cfg10 = NetworkConfig(depth=3, input_dim=1, output_dim=1, hidden_width=10)
+        r = rejection_sample(cfg10, tx4, ty4, LIK, EX, 64, seed=0)
+        assert r.mode == "function"
+        r = rejection_sample(cfg10.with_width(1), tx4, ty4, LIK, EX, 64, seed=0)
+        assert r.mode == "parameter"
+        # The L=0 oracle: 2 parameters against 3 train outputs.
+        r = rejection_sample(linear_config(), TX, TY, LIK, EX, 64, seed=0)
+        assert r.mode == "parameter"
+        # Recording parameters needs parameter mode, whatever the size.
+        r = rejection_sample(cfg10, tx4, ty4, LIK, EX, 64, seed=0, record_params=[0])
+        assert r.mode == "parameter"
+        r = rejection_sample(cfg_big, TX, TY, LIK, EX, 64, seed=0, record_params=[0])
+        assert r.mode == "parameter"
 
     def test_function_mode_rejects_param_recording(self):
         with pytest.raises(ValueError):
@@ -181,6 +235,15 @@ class TestRejectionSampler:
         with pytest.raises(DimensionMismatch):
             rejection_sample(linear_config(), np.zeros((2, 3)), TY[:2], LIK, EX,
                              10, seed=0)
+
+
+@pytest.mark.parametrize("chunk", [1, 127, 1024])
+def test_gather_rows_are_per_proposal_streams(chunk):
+    lo = 5 * chunk + 3
+    z = _gather(17, lo, lo + chunk, 13)
+    assert z.shape == (chunk, 13)
+    for j in range(chunk):
+        assert np.array_equal(z[j], GaussianStream(17, lo + j).normal(13))
 
 
 def test_chol_batch_failure_is_not_positive_definite():
