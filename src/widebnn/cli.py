@@ -107,7 +107,10 @@ def _cmd_sample(args) -> int:
     config = load_config(args.config)
     stream = GaussianStream(config.seed, DATASET_STREAM_ID)
     train_x, train_y, test_x = build_dataset(config, stream)
-    cfg = config.network.with_width(args.width)
+    try:
+        cfg = config.network.with_width(args.width)
+    except ValueError as exc:
+        raise ConfigError(f"bad --width: {exc}") from exc
     report = rejection_sample(
         cfg, train_x, train_y, config.likelihood, test_x,
         config.n_proposals, config.seed, workers=config.workers,

@@ -10,7 +10,9 @@ class DimensionMismatch(WideBnnError):
 
 
 class NotPositiveDefinite(WideBnnError):
-    """Matrix is not positive definite (after the jitter retry)."""
+    """Matrix is not positive definite, even with the jitter of its route:
+    after :func:`numkit.cholesky`'s one retry, or with the fixed sampling
+    jitter of :func:`numkit.chol_batch`."""
 
 
 class NotPSD(WideBnnError):

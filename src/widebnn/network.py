@@ -10,13 +10,13 @@ from __future__ import annotations
 import concurrent.futures
 import os
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 import scipy.special
 
-from .errors import DimensionMismatch, NotPositiveDefinite
-from .numkit import GaussianStream, as_matrix, cholesky
+from .errors import DimensionMismatch
+from .numkit import GaussianStream, as_matrix, chol_batch
 
 __all__ = [
     "NetworkConfig",
@@ -109,12 +109,16 @@ class ParameterSet:
 
 
 def _split_flat(flat: np.ndarray, config: NetworkConfig) -> ParameterSet:
-    """Layer-major, weights (row-major) then bias, per the draw-order contract."""
+    """Layer-major, weights (row-major) then bias, per the draw-order contract.
+
+    Leading axes of ``flat`` stay leading axes of every weight and bias.
+    """
     weights, biases, off = [], [], 0
+    lead = flat.shape[:-1]
     for (out_d, in_d) in config.layer_shapes:
-        w = flat[off:off + out_d * in_d].reshape(out_d, in_d)
+        w = flat[..., off:off + out_d * in_d].reshape(lead + (out_d, in_d))
         off += out_d * in_d
-        b = flat[off:off + out_d]
+        b = flat[..., off:off + out_d]
         off += out_d
         weights.append(w)
         biases.append(b)
@@ -142,7 +146,9 @@ def forward(params: ParameterSet, config: NetworkConfig, x) -> np.ndarray:
     """Evaluate the network on a batch of inputs (rows).
 
     The nonlinearity is applied to hidden layers only, never to the output
-    layer.
+    layer. Parameters with a leading batch axis (from a stack of flat
+    parameter vectors) give one output matrix per parameter set, shape
+    ``(batch, points, output_dim)``.
     """
     h = as_matrix(x, "X")
     if h.shape[1] != config.input_dim:
@@ -155,16 +161,17 @@ def forward(params: ParameterSet, config: NetworkConfig, x) -> np.ndarray:
     ntk = config.parametrisation == "ntk"
     dims = config.layer_dims
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if w.shape != (dims[l + 1], dims[l]):
+        if w.shape[-2:] != (dims[l + 1], dims[l]):
             raise DimensionMismatch(
                 f"layer {l} weights have shape {w.shape}, expected {(dims[l + 1], dims[l])}"
             )
         if l > 0:
             h = phi(h)
+        w_t, b = np.swapaxes(w, -1, -2), b[..., None, :]
         if ntk:
-            h = (config.sigma_w / np.sqrt(dims[l])) * (h @ w.T) + config.sigma_b * b
+            h = (config.sigma_w / np.sqrt(dims[l])) * (h @ w_t) + config.sigma_b * b
         else:
-            h = h @ w.T + b
+            h = h @ w_t + b
     return h
 
 
@@ -187,12 +194,67 @@ def layer_cov(phi_units_by_points: np.ndarray, fan_in: int,
               sigma_w: float, sigma_b: float) -> np.ndarray:
     """Cross-point covariance of one unit's next-layer preactivation.
 
-    Given activations of the previous layer (units x points), each unit of
-    the next layer is, conditionally, a zero-mean Gaussian over points with
-    this covariance; the bias contributes a constant sigma_b**2 offset.
+    Given activations of the previous layer (units x points, with any
+    leading batch axes), each unit of the next layer is, conditionally, a
+    zero-mean Gaussian over points with this covariance; the bias contributes
+    a constant sigma_b**2 offset.
     """
     g = phi_units_by_points
-    return (sigma_w ** 2 / fan_in) * (g.T @ g) + sigma_b ** 2
+    return (sigma_w ** 2 / fan_in) * (np.swapaxes(g, -1, -2) @ g) + sigma_b ** 2
+
+
+def layer_step(config: NetworkConfig, g: np.ndarray, e: np.ndarray,
+               cond: Optional[tuple] = None) -> np.ndarray:
+    """Draw one layer's preactivations at new points, exactly.
+
+    ``g`` holds the previous layer's activations there, units by points with
+    any leading batch axes (the inputs, transposed, for the first layer).
+    Given ``g`` the units are i.i.d. N(0, C) over the points, C =
+    :func:`layer_cov` (Matthews et al. 2018; Lee et al. 2018), and ``e``
+    holds the standard normals, one row per unit: the draw is
+    ``e @ chol_batch(C).T``. With ``cond = (g_x, f_x)`` it is conditioned on
+    this layer's values ``f_x`` at other points, where the previous layer
+    was ``g_x``: ``f_x @ A + e @ S.T`` with ``A = C_xx^-1 C_xt``, solved with
+    the ``chol_batch`` factor of C_xx that draws ``f_x``, and S the factor of
+    the Schur complement ``C_tt - C_tx A``.
+    """
+    sw, sb = config.sigma_w, config.sigma_b
+    d_in = g.shape[-2]
+    c_tt = layer_cov(g, d_in, sw, sb)
+    if cond is None:
+        return e @ np.swapaxes(chol_batch(c_tt), -1, -2)
+    import scipy.linalg  # here, not at module level, where it slows every import
+
+    g_x, f_x = cond
+    c_xx = layer_cov(g_x, d_in, sw, sb)
+    c_xt = (sw ** 2 / d_in) * (np.swapaxes(g_x, -1, -2) @ g) + sb ** 2
+    a_mat = scipy.linalg.cho_solve((chol_batch(c_xx), True), c_xt, check_finite=False)
+    schur = c_tt - np.swapaxes(c_xt, -1, -2) @ a_mat
+    return f_x @ a_mat + e @ np.swapaxes(chol_batch(schur), -1, -2)
+
+
+def sample_layers(config: NetworkConfig, x: np.ndarray, normals: Iterable[np.ndarray],
+                  x_cond: Optional[np.ndarray] = None,
+                  f_cond: Optional[Sequence[np.ndarray]] = None) -> Iterator[np.ndarray]:
+    """Yield each sampled layer's preactivations at the points ``x`` (rows),
+    units by points, from the first hidden layer to the output layer.
+
+    ``normals`` yields each layer's standard normals, ``(batch, units,
+    points)``, and is advanced one layer at a time, so a caller drawing them
+    from a stream keeps its draw order. With ``x_cond`` and ``f_cond`` (the
+    layers as yielded at ``x_cond``, same batch), every layer is conditioned
+    on its values there; zero conditioning points give the plain draw.
+    """
+    phi = nonlinearity_fn(config.nonlinearity)
+    g, f = x.T, None
+    g_x = None if x_cond is None else x_cond.T
+    for li, e in enumerate(normals):
+        if li > 0:
+            g = phi(f)
+            if x_cond is not None:
+                g_x = phi(f_cond[li - 1])
+        f = layer_step(config, g, e, None if x_cond is None else (g_x, f_cond[li]))
+        yield f
 
 
 def prior_function_draws(
@@ -226,14 +288,10 @@ def prior_function_draws(
         )
     m = pts.shape[0]
     d = config.hidden_width
-    phi = nonlinearity_fn(config.nonlinearity)
     if batch_size is None:
         batch_size = max(1, _IN_FLIGHT_FLOATS // 2 // max(d * m, 1))
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-
-    c1 = layer_cov(pts.T, config.input_dim, config.sigma_w, config.sigma_b)
-    l1 = cholesky(c1 + 1e-12 * (np.trace(c1) / m + 1.0) * np.eye(m))
 
     out = np.empty((n_draws, m, config.output_dim))
     starts = range(0, n_draws, batch_size)
@@ -241,14 +299,9 @@ def prior_function_draws(
 
     def draw(lo, sub):
         b = min(batch_size, n_draws - lo)
-        if config.depth == 0:
-            f = sub.normal(b * config.output_dim * m).reshape(b, config.output_dim, m)
-            f = f @ l1.T
-        else:
-            f = sub.normal(b * d * m).reshape(b, d, m) @ l1.T
-            for _ in range(config.depth - 1):
-                f = _next_layer(f, phi, config, sub, b, d, m)
-            f = _next_layer(f, phi, config, sub, b, config.output_dim, m)
+        normals = (sub.normal(b * r * m).reshape(b, r, m) for r in config.layer_dims[1:])
+        for f in sample_layers(config, pts, normals):
+            pass
         out[lo:lo + b] = np.swapaxes(f, 1, 2)
 
     # Each batch in flight holds a few arrays of this many floats.
@@ -276,20 +329,3 @@ def _available_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _next_layer(f, phi, config, stream, b, out_units, m):
-    g = phi(f)
-    d_in = f.shape[1]
-    cov = (config.sigma_w ** 2 / d_in) * (np.swapaxes(g, 1, 2) @ g)
-    cov += config.sigma_b ** 2
-    tr = np.trace(cov, axis1=1, axis2=2)
-    cov += (1e-12 * (tr / m + 1.0))[:, None, None] * np.eye(m)
-    try:
-        low = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            "layer covariance is not positive definite (after jitter)"
-        ) from None
-    e = stream.normal(b * out_units * m).reshape(b, out_units, m)
-    return e @ np.swapaxes(low, 1, 2)

@@ -5,6 +5,18 @@ here add the validation, jitter and error policy the rest of the package
 relies on. Random numbers come from keyed Philox streams so that any
 (seed, stream_id) pair reproduces the same sequence regardless of thread
 scheduling.
+
+Every Cholesky factorisation in the package happens here, by one of two
+routes. :func:`cholesky` serves the closed forms (kernel posteriors, linear
+regression, W2/KL): an exact factor first, then one retry at
+``1e-10 * trace / dim``, so a singular matrix such as a zero covariance
+raises (:func:`psd_factor`, for W2, takes a symmetric square root instead
+of raising). :func:`chol_batch` serves the samplers: ``1e-12 * (trace / dim + 1)``
+on the diagonal and one attempt, so a zero covariance (dead ReLU units with
+``sigma_b = 0``) gives a point mass, and each draw's factor depends on its
+own matrix only. Neither policy serves both: without the ``+ 1`` floor,
+covariances met while sampling default networks fail to factor; with it, a
+singular covariance that a distance must reject would factor.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ from .errors import DimensionMismatch, NotPositiveDefinite, NotPSD
 __all__ = [
     "as_matrix",
     "cholesky",
+    "chol_batch",
     "solve_spd",
     "sym_sqrt",
     "psd_factor",
@@ -28,6 +41,7 @@ __all__ = [
 
 _SYM_RTOL = 1e-12
 _JITTER_REL = 1e-10
+_SAMPLE_JITTER = 1e-12
 _PSD_TOL = 1e-10
 _PHILOX_ZERO_BLOCK = (0, 0, 0, 0)  # one 4x64-bit Philox counter block
 
@@ -60,9 +74,11 @@ def check_symmetric(a: np.ndarray, name: str) -> None:
 def cholesky(a) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Retries once with a diagonal jitter of ``1e-10 * trace / dim`` before
-    raising: analytic kernel matrices on near-duplicate inputs are routinely
-    semidefinite only up to rounding.
+    The route for closed forms: retries once with a diagonal jitter of
+    ``1e-10 * trace / dim`` before raising, because analytic kernel matrices
+    on near-duplicate inputs are routinely semidefinite only up to rounding.
+    A matrix that is singular beyond rounding, such as a zero matrix, raises
+    :class:`NotPositiveDefinite`. Samplers use :func:`chol_batch` instead.
     """
     m = as_matrix(a, "A")
     check_symmetric(m, "A")
@@ -77,6 +93,25 @@ def cholesky(a) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(
             "matrix is not positive definite (jitter retry failed)"
+        ) from None
+
+
+def chol_batch(a) -> np.ndarray:
+    """Lower Cholesky factors of a stack of symmetric PSD matrices ``(..., n, n)``.
+
+    The route for sampling: each matrix gets ``1e-12 * (trace / n + 1)`` on
+    its diagonal and is factored in one attempt; if any matrix of the stack
+    fails, :class:`NotPositiveDefinite` is raised. A zero matrix factors to
+    ``1e-6 * I``, and a stack of 0 x 0 matrices (no points) to itself.
+    """
+    n = a.shape[-1]
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    bump = (_SAMPLE_JITTER * (tr / max(n, 1) + 1.0))[..., None, None] * np.eye(n)
+    try:
+        return np.linalg.cholesky(a + bump)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(
+            "covariance is not positive definite (after sampling jitter)"
         ) from None
 
 

@@ -9,14 +9,23 @@ merged in ascending order, so results are invariant to the worker count.
 Two internal evaluation paths produce identically distributed results:
 
 * ``parameter`` draws the weight matrices literally and pushes them through
-  the forward pass (and can record posterior marginals of individual
-  parameter coordinates);
+  :func:`network.forward` under the NTK convention (and can record posterior
+  marginals of individual parameter coordinates);
 * ``function`` samples the network outputs at the train points directly from
   their exact per-layer conditional Gaussians (unit rows of each
   preactivation matrix are i.i.d. given the previous layer), and extends
-  accepted proposals to the eval points by Gaussian conditioning. This skips
-  the O(width^2) weight materialisation, which is what makes wide-network
-  sweeps tractable, and is distributionally exact, not an approximation.
+  accepted proposals to the eval points by Gaussian conditioning. Both are
+  :func:`network.sample_layers`, the layer loop that prior draws use too.
+  This skips the O(width^2) weight materialisation, which is what makes
+  wide-network sweeps tractable, and is distributionally exact, not an
+  approximation.
+
+Every layer covariance is factored by :func:`numkit.chol_batch`, the
+sampling route: a fixed ``1e-12 * (trace / n + 1)`` jitter and one attempt,
+so a covariance that still fails raises ``NotPositiveDefinite`` rather than
+being factored with a larger jitter. The closed forms that the samples are
+compared with use :func:`numkit.cholesky` instead, which does not accept a
+singular matrix.
 
 ``mode="auto"`` picks the mode that draws fewer normals per proposal:
 ``parameter`` draws ``n_params + 1``, ``function`` draws
@@ -30,16 +39,16 @@ be the faster one at small widths.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.special
 
-from .errors import DimensionMismatch, InsufficientSamples, NotPositiveDefinite
+from .errors import DimensionMismatch, InsufficientSamples
 from .likelihood import LikelihoodSpec, log_likelihood_batch
-from .network import NetworkConfig, layer_cov, nonlinearity_fn
-from .numkit import GaussianStream, as_matrix, solve_spd
+from .network import NetworkConfig, _split_flat, forward, reparametrise, sample_layers
+from .numkit import GaussianStream, as_matrix
 
 __all__ = [
     "MomentAccumulator",
@@ -137,37 +146,6 @@ def finalize(acc: MomentAccumulator) -> Tuple[np.ndarray, np.ndarray]:
     return acc.mean.copy(), (cov + cov.T) / 2.0
 
 
-class _ScalarStats:
-    """Per-coordinate Welford mean/variance for recorded parameters."""
-
-    def __init__(self, k: int):
-        self.count = 0
-        self.mean = np.zeros(k)
-        self.m2 = np.zeros(k)
-
-    def update_block(self, values: np.ndarray) -> None:
-        """Add every row of ``values`` at once, merged in by :meth:`merge_in`."""
-        if len(values) == 0:
-            return
-        block = _ScalarStats(values.shape[1])
-        block.count = len(values)
-        block.mean = values.mean(axis=0)
-        block.m2 = np.square(values - block.mean).sum(axis=0)
-        self.merge_in(block)
-
-    def merge_in(self, other: "_ScalarStats") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean.copy(), other.m2.copy()
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean = self.mean + delta * (other.count / total)
-        self.m2 = self.m2 + other.m2 + delta * delta * (self.count * other.count / total)
-        self.count = total
-
-
 @dataclass
 class SamplerReport:
     """Outcome of one rejection-sampling run.
@@ -187,52 +165,15 @@ class SamplerReport:
     mode: str = "parameter"
 
 
-def _param_scales(config: NetworkConfig, indices: Sequence[int]) -> np.ndarray:
+def _param_scales(config: NetworkConfig, indices: np.ndarray) -> np.ndarray:
     """Scale mapping raw N(0,1) draws to declared-parametrisation values."""
+    bad = indices[(indices < 0) | (indices >= config.n_params)]
+    if bad.size:
+        raise IndexError(f"parameter index {bad[0]} out of range")
     if config.parametrisation == "ntk":
         return np.ones(len(indices))
-    dims = config.layer_dims
-    bounds = []
-    off = 0
-    for l, (out_d, in_d) in enumerate(config.layer_shapes):
-        bounds.append((off, off + out_d * in_d, config.sigma_w / np.sqrt(dims[l])))
-        off += out_d * in_d
-        bounds.append((off, off + out_d, config.sigma_b))
-        off += out_d
-    scales = np.empty(len(indices))
-    for k, idx in enumerate(indices):
-        if not 0 <= idx < config.n_params:
-            raise IndexError(f"parameter index {idx} out of range")
-        for lo, hi, s in bounds:
-            if lo <= idx < hi:
-                scales[k] = s
-                break
-    return scales
-
-
-def _forward_raw_batch(z: np.ndarray, config: NetworkConfig, x: np.ndarray) -> np.ndarray:
-    """Forward pass for a batch of raw N(0,1) parameter vectors.
-
-    The per-layer sigma_w / sqrt(fan_in) and sigma_b scalings are folded into
-    the matmul, which makes the standard and NTK conventions literally the
-    same code path (they induce the same functions by construction).
-    """
-    b = z.shape[0]
-    m = x.shape[0]
-    phi = nonlinearity_fn(config.nonlinearity)
-    dims = config.layer_dims
-    h = np.broadcast_to(x, (b, m, dims[0]))
-    off = 0
-    for l, (out_d, in_d) in enumerate(config.layer_shapes):
-        w = z[:, off:off + out_d * in_d].reshape(b, out_d, in_d)
-        off += out_d * in_d
-        bias = z[:, off:off + out_d]
-        off += out_d
-        if l > 0:
-            h = phi(h)
-        scale = config.sigma_w / np.sqrt(dims[l])
-        h = scale * (h @ np.swapaxes(w, 1, 2)) + config.sigma_b * bias[:, None, :]
-    return h
+    p = reparametrise(_split_flat(np.ones(config.n_params), config), config)
+    return np.concatenate([a.ravel() for wb in zip(p.weights, p.biases) for a in wb])[indices]
 
 
 def _gather(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
@@ -247,7 +188,8 @@ def _gather(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
 
 
 class _ChunkResult:
-    def __init__(self, accepts: int, acc: MomentAccumulator, pstats: Optional[_ScalarStats]):
+    def __init__(self, accepts: int, acc: MomentAccumulator,
+                 pstats: Optional[MomentAccumulator]):
         self.accepts = accepts
         self.acc = acc
         self.pstats = pstats
@@ -255,23 +197,26 @@ class _ChunkResult:
 
 def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
                          indices, scales) -> _ChunkResult:
+    # Raw N(0,1) parameters under the NTK convention induce the same functions
+    # as scaled ones under the standard convention, so both run as NTK.
+    ntk = replace(config, parametrisation="ntk")
     n_par = config.n_params
     p_eval = eval_x.shape[0] * config.output_dim
     acc = MomentAccumulator.zeros(p_eval)
-    pstats = _ScalarStats(len(indices)) if indices is not None else None
+    pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
     batch = max(1, min(hi - lo, _BATCH_BUDGET // (n_par + 1)))
     accepts = 0
     pos = lo
     while pos < hi:
         end = min(pos + batch, hi)
         z = _gather(seed, pos, end, n_par + 1)
-        outs = _forward_raw_batch(z[:, :n_par], config, train_x)
+        outs = forward(_split_flat(z[:, :n_par], ntk), ntk, train_x)
         logl = log_likelihood_batch(lik, outs, train_y)
         log_u = scipy.special.log_ndtr(z[:, n_par])
         hit = np.nonzero(log_u < logl)[0]
         if hit.size:
             accepts += int(hit.size)
-            f_eval = _forward_raw_batch(z[hit, :n_par], config, eval_x)
+            f_eval = forward(_split_flat(z[hit, :n_par], ntk), ntk, eval_x)
             acc.update_block(f_eval.reshape(hit.size, -1))
             if pstats is not None:
                 pstats.update_block(z[hit][:, indices] * scales)
@@ -279,133 +224,30 @@ def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
     return _ChunkResult(accepts, acc, pstats)
 
 
-def _chol_batch(cov: np.ndarray, m: int) -> np.ndarray:
-    """Batched Cholesky with escalating relative jitter, up to 1e-4; raises
-    :class:`NotPositiveDefinite` when that fails too."""
-    tr = np.trace(cov, axis1=-2, axis2=-1)
-    eye = np.eye(m)
-    jitter = 1e-12
-    while True:
-        try:
-            bump = (jitter * (tr / m + 1.0))[..., None, None] * eye
-            return np.linalg.cholesky(cov + bump)
-        except np.linalg.LinAlgError:
-            jitter *= 100.0
-            if jitter > 1e-4:
-                raise NotPositiveDefinite(
-                    "batched matrix is not positive definite (jitter up to 1e-4)"
-                ) from None
-
-
-class _FunctionPlan:
-    """Precomputed quantities shared by every proposal in function mode."""
-
-    def __init__(self, config: NetworkConfig, train_x: np.ndarray, eval_x: np.ndarray):
-        self.config = config
-        self.m_t = train_x.shape[0]
-        self.m_e = eval_x.shape[0]
-        d, p, L = config.hidden_width, config.output_dim, config.depth
-        # Unit counts of the layers whose activations get sampled, in order.
-        self.row_counts = ([d] * L + [p]) if L > 0 else [p]
-        self.train_sizes = [r * self.m_t for r in self.row_counts]
-        self.eval_sizes = [r * self.m_e for r in self.row_counts]
-        self.total_train = sum(self.train_sizes) + 1  # + acceptance normal
-
-        joint = np.vstack([train_x, eval_x])
-        c = layer_cov(joint.T, config.input_dim, config.sigma_w, config.sigma_b)
-        mt = self.m_t
-        self.c1_xx = c[:mt, :mt]
-        self.c1_xt = c[:mt, mt:]
-        self.c1_tt = c[mt:, mt:]
-        if mt > 0:
-            self.l1 = _chol_batch(self.c1_xx[None], mt)[0]
-            self.a1 = solve_spd(
-                self.c1_xx + 1e-12 * (np.trace(self.c1_xx) / mt + 1.0) * np.eye(mt),
-                self.c1_xt,
-            )
-            schur = self.c1_tt - self.c1_xt.T @ self.a1
-            self.l1_schur = _chol_batch(schur[None], self.m_e)[0]
-        else:
-            self.l1_eval = _chol_batch(self.c1_tt[None], self.m_e)[0]
-
-
-def _sample_train_path(plan: _FunctionPlan, z: np.ndarray) -> List[np.ndarray]:
-    """Per-layer activations at the train points for a batch of proposals."""
-    cfg = plan.config
-    b = z.shape[0]
-    mt = plan.m_t
-    phi = nonlinearity_fn(cfg.nonlinearity)
-    layers = []
+def _layer_normals(z: np.ndarray, config: NetworkConfig, m: int):
+    """Split each row of ``z`` into the normals of every sampled layer at
+    ``m`` points, layer by layer, as ``(batch, units, m)`` arrays."""
     off = 0
-    f = None
-    for li, rows in enumerate(plan.row_counts):
-        e = z[:, off:off + rows * mt].reshape(b, rows, mt)
-        off += rows * mt
-        if li == 0:
-            f = e @ plan.l1.T
-        else:
-            g = phi(f)
-            d_in = f.shape[1]
-            cov = (cfg.sigma_w ** 2 / d_in) * (np.swapaxes(g, 1, 2) @ g)
-            cov += cfg.sigma_b ** 2
-            low = _chol_batch(cov, mt)
-            f = e @ np.swapaxes(low, 1, 2)
-        layers.append(f)
-    return layers
+    for rows in config.layer_dims[1:]:
+        yield z[:, off:off + rows * m].reshape(z.shape[0], rows, m)
+        off += rows * m
 
 
-def _extend_to_eval(plan: _FunctionPlan, train_layers: List[np.ndarray],
-                    z_eval: np.ndarray) -> np.ndarray:
-    """Sample eval-point outputs conditioned on the accepted train path."""
-    cfg = plan.config
-    a = z_eval.shape[0]
-    mt, me = plan.m_t, plan.m_e
-    phi = nonlinearity_fn(cfg.nonlinearity)
-    sw2, sb2 = cfg.sigma_w ** 2, cfg.sigma_b ** 2
-    off = 0
-    f_t = None
-    for li, rows in enumerate(plan.row_counts):
-        e = z_eval[:, off:off + rows * me].reshape(a, rows, me)
-        off += rows * me
-        f_x = train_layers[li]
-        if li == 0:
-            f_t = f_x @ plan.a1 + e @ plan.l1_schur.T
-        else:
-            g_x = phi(train_layers[li - 1])
-            g_t = phi(f_t)
-            d_in = g_x.shape[1]
-            g_xt = np.swapaxes(g_x, 1, 2)
-            c_xx = (sw2 / d_in) * (g_xt @ g_x) + sb2
-            c_xt = (sw2 / d_in) * (g_xt @ g_t) + sb2
-            c_tt = (sw2 / d_in) * (np.swapaxes(g_t, 1, 2) @ g_t) + sb2
-            tr = np.trace(c_xx, axis1=-2, axis2=-1)
-            c_xx = c_xx + (1e-12 * (tr / mt + 1.0))[:, None, None] * np.eye(mt)
-            a_mat = np.linalg.solve(c_xx, c_xt)
-            schur = c_tt - np.swapaxes(c_xt, 1, 2) @ a_mat
-            low = _chol_batch(schur, me)
-            f_t = f_x @ a_mat + e @ np.swapaxes(low, 1, 2)
-    return f_t  # (a, output_dim, m_e)
-
-
-def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi,
-                        plan: _FunctionPlan) -> _ChunkResult:
-    mt, me = plan.m_t, plan.m_e
-    p_eval = me * config.output_dim
-    acc = MomentAccumulator.zeros(p_eval)
+def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi) -> _ChunkResult:
+    mt, me = train_x.shape[0], eval_x.shape[0]
+    units = sum(config.layer_dims[1:])
+    train_total = units * mt + 1  # + acceptance normal
+    eval_total = units * me
+    acc = MomentAccumulator.zeros(me * config.output_dim)
     accepts = 0
-    batch = max(1, min(hi - lo, _BATCH_BUDGET // max(plan.total_train, 1)))
-    eval_total = sum(plan.eval_sizes)
+    batch = max(1, min(hi - lo, _BATCH_BUDGET // train_total))
     pos = lo
     while pos < hi:
         end = min(pos + batch, hi)
-        z = _gather(seed, pos, end, plan.total_train)
-        if mt > 0:
-            train_layers = _sample_train_path(plan, z[:, :-1])
-            outs = np.swapaxes(train_layers[-1], 1, 2)  # (b, m_t, p)
-            logl = log_likelihood_batch(lik, outs, train_y)
-        else:
-            train_layers = None
-            logl = np.zeros(end - pos)
+        z = _gather(seed, pos, end, train_total)
+        train_layers = list(sample_layers(config, train_x, _layer_normals(z, config, mt)))
+        outs = np.swapaxes(train_layers[-1], 1, 2)  # (b, m_t, p)
+        logl = log_likelihood_batch(lik, outs, train_y)
         log_u = scipy.special.log_ndtr(z[:, -1])
         hit = np.nonzero(log_u < logl)[0]
         if hit.size:
@@ -415,39 +257,15 @@ def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi,
             stream = GaussianStream(seed, pos)
             for j, local in enumerate(hit):
                 stream.rekey(pos + int(local))
-                stream.normal(plan.total_train)
+                stream.normal(train_total)
                 stream.normal(eval_total, out=z_eval[j])
-            if mt > 0:
-                picked = [layer[hit] for layer in train_layers]
-                f_t = _extend_to_eval(plan, picked, z_eval)
-            else:
-                f_t = _unconditional_eval(plan, z_eval)
+            picked = [layer[hit] for layer in train_layers]
+            for f_t in sample_layers(config, eval_x, _layer_normals(z_eval, config, me),
+                                     train_x, picked):
+                pass
             acc.update_block(np.swapaxes(f_t, 1, 2).reshape(hit.size, -1))
         pos = end
     return _ChunkResult(accepts, acc, None)
-
-
-def _unconditional_eval(plan: _FunctionPlan, z_eval: np.ndarray) -> np.ndarray:
-    """Eval outputs when there is nothing to condition on (empty train set)."""
-    cfg = plan.config
-    a = z_eval.shape[0]
-    me = plan.m_e
-    phi = nonlinearity_fn(cfg.nonlinearity)
-    off = 0
-    f = None
-    for li, rows in enumerate(plan.row_counts):
-        e = z_eval[:, off:off + rows * me].reshape(a, rows, me)
-        off += rows * me
-        if li == 0:
-            f = e @ plan.l1_eval.T
-        else:
-            g = phi(f)
-            d_in = f.shape[1]
-            cov = (cfg.sigma_w ** 2 / d_in) * (np.swapaxes(g, 1, 2) @ g)
-            cov += cfg.sigma_b ** 2
-            low = _chol_batch(cov, me)
-            f = e @ np.swapaxes(low, 1, 2)
-    return f
 
 
 def rejection_sample(
@@ -507,11 +325,9 @@ def rejection_sample(
         scales = _param_scales(config, indices)
 
     if mode == "function":
-        plan = _FunctionPlan(config, train_x, eval_x)
-
         def run(span):
             return _run_chunk_function(
-                config, train_x, train_y, likelihood, eval_x, seed, span[0], span[1], plan
+                config, train_x, train_y, likelihood, eval_x, seed, span[0], span[1]
             )
     else:
         def run(span):
@@ -530,7 +346,7 @@ def rejection_sample(
 
     p_eval = eval_x.shape[0] * config.output_dim
     acc = MomentAccumulator.zeros(p_eval)
-    pstats = _ScalarStats(len(indices)) if indices is not None else None
+    pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
     accepts = 0
     for res in results:  # ascending chunk order
         accepts += res.accepts
@@ -548,9 +364,10 @@ def rejection_sample(
 
     recorded = None
     if pstats is not None and pstats.count >= 2:
-        var = pstats.m2 / (pstats.count - 1)
+        p_mean, p_cov = finalize(pstats)
+        var = np.diag(p_cov)
         recorded = {
-            int(idx): (float(pstats.mean[k]), float(var[k]))
+            int(idx): (float(p_mean[k]), float(var[k]))
             for k, idx in enumerate(indices)
         }
 

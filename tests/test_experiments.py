@@ -260,6 +260,11 @@ class TestCli:
         cfg = self.write_config(tmp_path, **{field: value})
         assert cli.main(["sample", "--config", str(cfg), "--width", "8"]) == 2
 
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    def test_sample_bad_width_exit_code(self, tmp_path, width):
+        cfg = self.write_config(tmp_path)
+        assert cli.main(["sample", "--config", str(cfg), "--width", width]) == 2
+
     def test_nngp_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         assert cli.main(["nngp", "--config", str(cfg)]) == 0

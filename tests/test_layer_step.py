@@ -1,0 +1,33 @@
+import numpy as np
+import pytest
+
+from widebnn.network import NetworkConfig, layer_cov, layer_step, nonlinearity_fn
+
+
+def rel_err(f, want):
+    """Per batch member: || f^T f - want ||_F / || want ||_F."""
+    got = np.swapaxes(f, -1, -2) @ f
+    return np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("nonlinearity", ["erf", "relu"])
+def test_identity_normals_give_a_factor_of_the_layer_covariance(nonlinearity):
+    # With e = I the draw e @ L.T is L.T, so f^T f is the covariance the step
+    # samples from. Conditioning the eval draw on the train draw must give
+    # the joint covariance over train + eval points.
+    cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=12,
+                        nonlinearity=nonlinearity)
+    k, m, d = 3, 4, 12
+    rng = np.random.default_rng(7)
+    g = nonlinearity_fn(nonlinearity)(rng.standard_normal((2, d, k + m)))
+    g_x, g_t = g[..., :k], g[..., k:]
+    eye = np.broadcast_to(np.eye(k + m), (2, k + m, k + m))
+
+    f_x = layer_step(cfg, g_x, eye[..., :k])
+    f_t = layer_step(cfg, g_t, eye[..., k:], (g_x, f_x))
+    joint = np.concatenate([f_x, f_t], axis=-1)
+    want = layer_cov(g, d, cfg.sigma_w, cfg.sigma_b)
+    assert np.all(rel_err(joint, want) < 1e-10)
+
+    alone = layer_step(cfg, g_t, eye[..., :m, :m])
+    assert np.all(rel_err(alone, layer_cov(g_t, d, cfg.sigma_w, cfg.sigma_b)) < 1e-10)

@@ -1,8 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from widebnn.errors import DimensionMismatch, NotPositiveDefinite, NotPSD
-from widebnn.numkit import GaussianStream, as_matrix, cholesky, solve_spd, sym_sqrt
+from widebnn.numkit import (
+    GaussianStream,
+    as_matrix,
+    chol_batch,
+    cholesky,
+    solve_spd,
+    sym_sqrt,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "widebnn"
 
 
 def random_spd(dim, seed=0):
@@ -50,6 +61,29 @@ class TestCholesky:
         neg[0, 1] = -2.0 + 1.01 * 1e-12 * 2.0 * 2
         with pytest.raises(DimensionMismatch):
             cholesky(neg)
+
+
+class TestCholBatch:
+    def test_failure_is_not_positive_definite(self):
+        batch = np.stack([np.eye(3), -np.eye(3)])
+        with pytest.raises(NotPositiveDefinite):
+            chol_batch(batch)
+
+    def test_only_the_last_member_indefinite(self):
+        batch = np.stack([random_spd(3, seed=k) for k in range(4)] + [-np.eye(3)])
+        with pytest.raises(NotPositiveDefinite):
+            chol_batch(batch)
+
+    def test_zero_stack_factors(self):
+        # A layer of dead ReLU units with sigma_b = 0 has a zero covariance.
+        low = chol_batch(np.zeros((2, 3, 3)))
+        assert np.allclose(low, 1e-6 * np.eye(3), rtol=1e-12, atol=0.0)
+
+
+def test_cholesky_is_called_only_in_numkit():
+    calls = sorted(p.name for p in SRC.glob("*.py")
+                   if "np.linalg.cholesky" in p.read_text())
+    assert calls == ["numkit.py"]
 
 
 class TestSolveSpd:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from widebnn.errors import DimensionMismatch, InsufficientSamples, NotPositiveDefinite
+from widebnn.errors import DimensionMismatch, InsufficientSamples
 from widebnn.kernels import nngp_kernel
 from widebnn.likelihood import LikelihoodSpec
 from widebnn.linreg import LinRegProblem, linreg_predictive
@@ -9,7 +9,6 @@ from widebnn.network import NetworkConfig
 from widebnn.numkit import GaussianStream
 from widebnn.sampler import (
     MomentAccumulator,
-    _chol_batch,
     _gather,
     accumulate,
     finalize,
@@ -244,9 +243,3 @@ def test_gather_rows_are_per_proposal_streams(chunk):
     assert z.shape == (chunk, 13)
     for j in range(chunk):
         assert np.array_equal(z[j], GaussianStream(17, lo + j).normal(13))
-
-
-def test_chol_batch_failure_is_not_positive_definite():
-    batch = np.stack([np.eye(3), -np.eye(3)])
-    with pytest.raises(NotPositiveDefinite):
-        _chol_batch(batch, 3)
