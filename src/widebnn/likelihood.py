@@ -44,26 +44,6 @@ class LikelihoodSpec:
             raise ValueError(f"unknown likelihood kind {self.kind!r}")
 
 
-def _check_shapes(outputs: np.ndarray, targets: np.ndarray) -> None:
-    if outputs.shape != targets.shape:
-        raise DimensionMismatch(
-            f"outputs shape {outputs.shape} != targets shape {targets.shape}"
-        )
-
-
-def gaussian_log_likelihood(outputs, targets, sigma2: float) -> float:
-    outputs = np.asarray(outputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    _check_shapes(outputs, targets)
-    r = outputs - targets
-    return float(-0.5 / sigma2 * np.sum(r * r))
-
-
-def gaussian_likelihood(outputs, targets, sigma2: float) -> float:
-    """exp(-sum ||y_i - f(x_i)||^2 / (2 sigma2)); equals 1 at a perfect fit."""
-    return float(np.exp(gaussian_log_likelihood(outputs, targets, sigma2)))
-
-
 def _check_onehot(targets: np.ndarray) -> None:
     ok = np.all((targets == 0.0) | (targets == 1.0)) and np.all(
         targets.sum(axis=-1) == 1.0
@@ -72,32 +52,11 @@ def _check_onehot(targets: np.ndarray) -> None:
         raise MalformedTarget("each target row must be one-hot")
 
 
-def categorical_log_likelihood(logits, onehot_targets) -> float:
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(onehot_targets, dtype=np.float64)
-    _check_shapes(logits, targets)
-    _check_onehot(targets)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return float(np.sum(log_probs * targets))
-
-
-def categorical_likelihood(logits, onehot_targets) -> float:
-    """Product over examples of softmax(logits)[target class]."""
-    return float(np.exp(categorical_log_likelihood(logits, onehot_targets)))
-
-
-def log_likelihood(spec: LikelihoodSpec, outputs, targets) -> float:
-    if spec.kind == "gaussian":
-        return gaussian_log_likelihood(outputs, targets, spec.sigma2)
-    return categorical_log_likelihood(outputs, targets)
-
-
 def log_likelihood_batch(spec: LikelihoodSpec, outputs, targets) -> np.ndarray:
     """Log likelihood for a batch of output sets, shape (B, m, p) -> (B,)."""
     outputs = np.asarray(outputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if outputs.shape[1:] != targets.shape:
+    if outputs.ndim != 3 or outputs.shape[1:] != targets.shape:
         raise DimensionMismatch(
             f"batch outputs shape {outputs.shape} does not match targets {targets.shape}"
         )
@@ -110,3 +69,29 @@ def log_likelihood_batch(spec: LikelihoodSpec, outputs, targets) -> np.ndarray:
     shifted = outputs - outputs.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return np.einsum("bmp,mp->b", log_probs, targets)
+
+
+def log_likelihood(spec: LikelihoodSpec, outputs, targets) -> float:
+    """Log likelihood of one output set: :func:`log_likelihood_batch` on a
+    batch of one."""
+    return float(log_likelihood_batch(spec, np.asarray(outputs)[None], targets)[0])
+
+
+def gaussian_log_likelihood(outputs, targets, sigma2: float) -> float:
+    return log_likelihood(LikelihoodSpec("gaussian", sigma2=sigma2), outputs, targets)
+
+
+def gaussian_likelihood(outputs, targets, sigma2: float) -> float:
+    """exp(-sum ||y_i - f(x_i)||^2 / (2 sigma2)); equals 1 at a perfect fit."""
+    return float(np.exp(gaussian_log_likelihood(outputs, targets, sigma2)))
+
+
+def categorical_log_likelihood(logits, onehot_targets) -> float:
+    logits = np.asarray(logits, dtype=np.float64)
+    spec = LikelihoodSpec("categorical", num_classes=logits.shape[-1])
+    return log_likelihood(spec, logits, onehot_targets)
+
+
+def categorical_likelihood(logits, onehot_targets) -> float:
+    """Product over examples of softmax(logits)[target class]."""
+    return float(np.exp(categorical_log_likelihood(logits, onehot_targets)))

@@ -1,10 +1,18 @@
 """Exact posterior sampling of the finite BNN by rejection against the prior.
 
-Proposal i derives all of its randomness from ``GaussianStream(seed, i)``:
-the parameter draw first, then one extra normal mapped through the standard
-normal CDF to give the acceptance uniform. Acceptance happens in log space
-(``log u < log likelihood``). Proposals are processed in fixed-size chunks
-merged in ascending order, so results are invariant to the worker count.
+Proposals are keyed in blocks of 64 (Philox keying as in Salmon et al.,
+"Random123", SC'11): proposal i takes row ``i % 64`` of
+``GaussianStream(seed, i // 64)``, which draws its block's rows in proposal
+order. A row holds the parameter draw (or, in function mode, the train-point
+normals of every layer), then one extra normal mapped through the standard
+normal CDF to give the acceptance uniform. An accepted proposal i of function
+mode draws its eval-point normals from ``GaussianStream(seed, 2**63 + i)``, a
+key space apart from the block ids and from ``experiments.DATASET_STREAM_ID``
+(2**62). Acceptance happens in log space (``log u < log likelihood``).
+Proposals are processed in fixed-size chunks merged in ascending order, so
+results are invariant to the worker count; a chunk that starts inside a block
+draws and discards the block's earlier rows, so accepts do not depend on the
+chunk size either.
 
 Two internal evaluation paths produce identically distributed results:
 
@@ -60,6 +68,8 @@ __all__ = [
 ]
 
 _BATCH_BUDGET = 1 << 21  # doubles held per gather batch (~16 MB)
+_BLOCK = 64  # proposals per Philox key
+_EVAL_KEYS = 1 << 63  # eval-point stream of proposal i: key _EVAL_KEYS + i
 
 
 @dataclass
@@ -176,27 +186,45 @@ def _param_scales(config: NetworkConfig, indices: np.ndarray) -> np.ndarray:
     return np.concatenate([a.ravel() for wb in zip(p.weights, p.biases) for a in wb])[indices]
 
 
-def _gather(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
-    """Row j holds the first ``count`` normals of proposal ``lo + j``'s stream,
-    ``GaussianStream(seed, lo + j)``; one stream is re-keyed per row."""
-    z = np.empty((hi - lo, count))
-    stream = GaussianStream(seed, lo)
-    for j in range(hi - lo):
-        stream.rekey(lo + j)
-        stream.normal(count, out=z[j])
-    return z
+def _gather(seed: int, lo: int, hi: int, count: int):
+    """Yield ``(pos, z)`` for consecutive batches of proposals ``lo .. hi - 1``.
 
-
-class _ChunkResult:
-    def __init__(self, accepts: int, acc: MomentAccumulator,
-                 pstats: Optional[MomentAccumulator]):
-        self.accepts = accepts
-        self.acc = acc
-        self.pstats = pstats
+    Row j of ``z`` holds the ``count`` normals of proposal ``i = pos + j``:
+    row ``i % _BLOCK`` of ``GaussianStream(seed, i // _BLOCK)``, which draws
+    its block's rows in proposal order. One stream is re-keyed once per block
+    and draws each block's rows of a batch in one call; the rows of ``lo``'s
+    block before ``lo`` are drawn and discarded. A batch holds at most
+    ``_BATCH_BUDGET`` doubles (one row if a row is larger) and ends on a block
+    boundary when it holds at least one block.
+    """
+    rows = max(1, _BATCH_BUDGET // count)
+    if rows >= _BLOCK:
+        rows -= rows % _BLOCK
+    block = lo // _BLOCK
+    stream = GaussianStream(seed, block)
+    skip = lo % _BLOCK
+    while skip:
+        k = min(skip, rows)
+        stream.normal(k * count)
+        skip -= k
+    pos = lo
+    while pos < hi:
+        end = min(hi, pos + rows if rows < _BLOCK else (pos + rows) // _BLOCK * _BLOCK)
+        z = np.empty((end - pos, count))
+        row = pos
+        while row < end:
+            if row // _BLOCK != block:
+                block = row // _BLOCK
+                stream.rekey(block)
+            stop = min(end, (block + 1) * _BLOCK)
+            stream.normal((stop - row) * count, out=z[row - pos:stop - pos].reshape(-1))
+            row = stop
+        yield pos, z
+        pos = end
 
 
 def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
-                         indices, scales) -> _ChunkResult:
+                         indices, scales):
     # Raw N(0,1) parameters under the NTK convention induce the same functions
     # as scaled ones under the standard convention, so both run as NTK.
     ntk = replace(config, parametrisation="ntk")
@@ -204,12 +232,8 @@ def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
     p_eval = eval_x.shape[0] * config.output_dim
     acc = MomentAccumulator.zeros(p_eval)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
-    batch = max(1, min(hi - lo, _BATCH_BUDGET // (n_par + 1)))
     accepts = 0
-    pos = lo
-    while pos < hi:
-        end = min(pos + batch, hi)
-        z = _gather(seed, pos, end, n_par + 1)
+    for _, z in _gather(seed, lo, hi, n_par + 1):
         outs = forward(_split_flat(z[:, :n_par], ntk), ntk, train_x)
         logl = log_likelihood_batch(lik, outs, train_y)
         log_u = scipy.special.log_ndtr(z[:, n_par])
@@ -220,8 +244,7 @@ def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
             acc.update_block(f_eval.reshape(hit.size, -1))
             if pstats is not None:
                 pstats.update_block(z[hit][:, indices] * scales)
-        pos = end
-    return _ChunkResult(accepts, acc, pstats)
+    return accepts, acc, pstats
 
 
 def _layer_normals(z: np.ndarray, config: NetworkConfig, m: int):
@@ -233,18 +256,15 @@ def _layer_normals(z: np.ndarray, config: NetworkConfig, m: int):
         off += rows * m
 
 
-def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi) -> _ChunkResult:
+def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi):
     mt, me = train_x.shape[0], eval_x.shape[0]
     units = sum(config.layer_dims[1:])
     train_total = units * mt + 1  # + acceptance normal
     eval_total = units * me
     acc = MomentAccumulator.zeros(me * config.output_dim)
     accepts = 0
-    batch = max(1, min(hi - lo, _BATCH_BUDGET // train_total))
-    pos = lo
-    while pos < hi:
-        end = min(pos + batch, hi)
-        z = _gather(seed, pos, end, train_total)
+    stream = GaussianStream(seed, _EVAL_KEYS + lo)
+    for pos, z in _gather(seed, lo, hi, train_total):
         train_layers = list(sample_layers(config, train_x, _layer_normals(z, config, mt)))
         outs = np.swapaxes(train_layers[-1], 1, 2)  # (b, m_t, p)
         logl = log_likelihood_batch(lik, outs, train_y)
@@ -252,20 +272,16 @@ def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi) -> 
         hit = np.nonzero(log_u < logl)[0]
         if hit.size:
             accepts += int(hit.size)
-            # Continue each accepted proposal's stream past its train draws.
             z_eval = np.empty((hit.size, eval_total))
-            stream = GaussianStream(seed, pos)
             for j, local in enumerate(hit):
-                stream.rekey(pos + int(local))
-                stream.normal(train_total)
+                stream.rekey(_EVAL_KEYS + pos + int(local))
                 stream.normal(eval_total, out=z_eval[j])
             picked = [layer[hit] for layer in train_layers]
             for f_t in sample_layers(config, eval_x, _layer_normals(z_eval, config, me),
                                      train_x, picked):
                 pass
             acc.update_block(np.swapaxes(f_t, 1, 2).reshape(hit.size, -1))
-        pos = end
-    return _ChunkResult(accepts, acc, None)
+    return accepts, acc, None
 
 
 def rejection_sample(
@@ -290,6 +306,8 @@ def rejection_sample(
     """
     if n_proposals < 1:
         raise ValueError("n_proposals must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     train_x = np.asarray(train_x, dtype=np.float64)
     if train_x.size == 0:
         train_x = np.zeros((0, config.input_dim))
@@ -325,16 +343,12 @@ def rejection_sample(
         scales = _param_scales(config, indices)
 
     if mode == "function":
-        def run(span):
-            return _run_chunk_function(
-                config, train_x, train_y, likelihood, eval_x, seed, span[0], span[1]
-            )
+        runner, extra = _run_chunk_function, ()
     else:
-        def run(span):
-            return _run_chunk_parameter(
-                config, train_x, train_y, likelihood, eval_x, seed, span[0], span[1],
-                indices, scales
-            )
+        runner, extra = _run_chunk_parameter, (indices, scales)
+
+    def run(span):
+        return runner(config, train_x, train_y, likelihood, eval_x, seed, *span, *extra)
 
     spans = [(lo, min(lo + chunk_size, n_proposals))
              for lo in range(0, n_proposals, chunk_size)]
@@ -348,11 +362,11 @@ def rejection_sample(
     acc = MomentAccumulator.zeros(p_eval)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
     accepts = 0
-    for res in results:  # ascending chunk order
-        accepts += res.accepts
-        acc.merge_in(res.acc)
-        if pstats is not None and res.pstats is not None:
-            pstats.merge_in(res.pstats)
+    for chunk_accepts, chunk_acc, chunk_pstats in results:  # ascending chunk order
+        accepts += chunk_accepts
+        acc.merge_in(chunk_acc)
+        if pstats is not None:
+            pstats.merge_in(chunk_pstats)
 
     if acc.count >= 2:
         mean, cov = finalize(acc)

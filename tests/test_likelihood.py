@@ -107,3 +107,10 @@ class TestBatch:
         spec = LikelihoodSpec("gaussian", sigma2=1.0)
         out = log_likelihood_batch(spec, np.zeros((6, 0, 1)), np.zeros((0, 1)))
         assert np.array_equal(out, np.zeros(6))
+
+    def test_one_output_set_must_be_a_matrix(self):
+        spec = LikelihoodSpec("gaussian", sigma2=1.0)
+        with pytest.raises(DimensionMismatch):
+            log_likelihood(spec, np.zeros(3), np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            log_likelihood_batch(spec, np.zeros((2, 3)), np.zeros(3))

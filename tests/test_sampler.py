@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from widebnn import sampler
 from widebnn.errors import DimensionMismatch, InsufficientSamples
+from widebnn.experiments import DATASET_STREAM_ID
 from widebnn.kernels import nngp_kernel
 from widebnn.likelihood import LikelihoodSpec
 from widebnn.linreg import LinRegProblem, linreg_predictive
@@ -146,8 +148,34 @@ class TestRejectionSampler:
                               chunk_size=1024)
         r2 = rejection_sample(linear_config(), TX, TY, LIK, EX, 8_000, seed=9,
                               chunk_size=127)
-        assert r1.accepts == r2.accepts
+        r3 = rejection_sample(linear_config(), TX, TY, LIK, EX, 8_000, seed=9,
+                              chunk_size=64)
+        assert r1.accepts == r2.accepts == r3.accepts
         assert np.allclose(r1.posterior_mean, r2.posterior_mean)
+        assert np.allclose(r1.posterior_mean, r3.posterior_mean)
+
+    def test_function_mode_chunk_and_worker_invariant(self):
+        cfg = NetworkConfig(depth=2, input_dim=1, output_dim=1, hidden_width=20)
+        tx = np.linspace(-1, 1, 3)[:, None]
+        lik = LikelihoodSpec("gaussian", sigma2=0.25)
+        kw = dict(n_proposals=5_000, seed=13, mode="function")
+        runs = [rejection_sample(cfg, tx, np.sin(tx), lik, EX, chunk_size=c, **kw)
+                for c in (1024, 127, 64)]
+        assert runs[0].moments_valid and runs[0].mode == "function"
+        for r in runs[1:]:
+            assert r.accepts == runs[0].accepts
+            assert np.allclose(r.posterior_mean, runs[0].posterior_mean)
+            assert np.allclose(r.posterior_cov, runs[0].posterior_cov)
+        r2 = rejection_sample(cfg, tx, np.sin(tx), lik, EX, workers=2, **kw)
+        assert r2.accepts == runs[0].accepts
+        assert np.array_equal(r2.posterior_mean, runs[0].posterior_mean)
+        assert np.array_equal(r2.posterior_cov, runs[0].posterior_cov)
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_size_must_be_positive(self, chunk):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            rejection_sample(linear_config(), TX, TY, LIK, EX, 1000, seed=0,
+                             chunk_size=chunk)
 
     def test_empty_train_accepts_everything(self):
         cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=50)
@@ -237,9 +265,35 @@ class TestRejectionSampler:
 
 
 @pytest.mark.parametrize("chunk", [1, 127, 1024])
-def test_gather_rows_are_per_proposal_streams(chunk):
-    lo = 5 * chunk + 3
-    z = _gather(17, lo, lo + chunk, 13)
-    assert z.shape == (chunk, 13)
-    for j in range(chunk):
-        assert np.array_equal(z[j], GaussianStream(17, lo + j).normal(13))
+def test_gather_rows_are_block_stream_rows(chunk, monkeypatch):
+    count, block = 13, sampler._BLOCK
+    lo = 5 * chunk + 3  # inside a block
+    streams = {}
+    # The default budget; batches of 3 blocks; of 10 rows, so that batches end
+    # inside a block; and one row per batch, for a row larger than the budget.
+    for budget in (sampler._BATCH_BUDGET, count * 200, count * 10, 5):
+        monkeypatch.setattr(sampler, "_BATCH_BUDGET", budget)
+        batches = list(_gather(17, lo, lo + chunk, count))
+        assert [pos for pos, _ in batches] == list(
+            np.cumsum([lo] + [len(z) for _, z in batches[:-1]]))
+        for pos, z in batches:
+            assert z.size <= max(budget, count)
+            if budget >= block * count and pos + len(z) < lo + chunk:
+                assert (pos + len(z)) % block == 0
+        z = np.vstack([z for _, z in batches])
+        assert z.shape == (chunk, count)
+        for j in range(chunk):
+            i = lo + j
+            if i // block not in streams:
+                rows = GaussianStream(17, i // block).normal(block * count)
+                streams[i // block] = rows.reshape(block, count)
+            assert np.array_equal(z[j], streams[i // block][i % block])
+
+
+def test_eval_keys_are_apart_from_block_ids_and_the_dataset_stream():
+    top = (1 << 62) - 1  # the largest proposal index considered
+    last_block = top // sampler._BLOCK
+    # Eval keys span [_EVAL_KEYS, _EVAL_KEYS + top], block ids [0, last_block].
+    assert sampler._EVAL_KEYS > DATASET_STREAM_ID > last_block
+    # Philox keys are taken modulo 2**64, so no eval key wraps onto a block id.
+    assert sampler._EVAL_KEYS + top < 1 << 64
