@@ -22,7 +22,7 @@ from .likelihood import LikelihoodSpec
 from .linreg import RateRow, fit_loglog_slope, rate_sweep
 from .metrics import rel_frobenius
 from .network import NetworkConfig, forward, sample_prior
-from .numkit import GaussianStream
+from .numkit import GaussianStream, is_int
 from .sampler import rejection_sample
 
 __all__ = [
@@ -66,14 +66,10 @@ class ExperimentConfig:
             raise ConfigError("n_proposals must be >= 1")
         if self.target_rule not in TARGET_RULES:
             raise ConfigError(f"target_rule must be one of {TARGET_RULES}")
-        if not _is_int(self.seed):
+        if not is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not _is_int(self.workers) or self.workers < 1:
+        if not is_int(self.workers) or self.workers < 1:
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _take(obj: dict, allowed: dict, where: str) -> dict:

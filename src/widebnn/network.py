@@ -16,7 +16,7 @@ import numpy as np
 import scipy.special
 
 from .errors import DimensionMismatch
-from .numkit import GaussianStream, as_matrix, chol_batch
+from .numkit import BATCH_FLOATS, GaussianStream, as_matrix, chol_batch, is_int
 
 __all__ = [
     "NetworkConfig",
@@ -31,7 +31,8 @@ __all__ = [
 NONLINEARITIES = ("erf", "relu", "identity")
 PARAMETRISATIONS = ("standard", "ntk")
 
-# Floats per array held by all prior-draw batches in flight together (32 MB).
+# Floats per array held by all prior-draw batches in flight together (32 MB);
+# at the default batch size more batches fit than there are cores.
 _IN_FLIGHT_FLOATS = 4_000_000
 
 
@@ -274,22 +275,24 @@ def prior_function_draws(
 
     Draws are made ``batch_size`` at a time; batch k takes all of its normals
     from substream k of ``stream.split(n_batches)`` and writes its own rows
-    of the result. The batches run on a thread pool of at most the available
-    cores, and no more batches at once than fit a budget of about 4M floats
-    per array (the default ``batch_size`` fills half of it); when only one
-    batch can run at a time, they run on the calling thread. The result is
-    deterministic given ``(stream, batch_size)`` and independent of the
-    number of threads.
+    of the result. The default ``batch_size`` holds about 2**17 floats (1 MB)
+    per array, 13 draws at width 1000 on 10 points. The batches run on a
+    thread pool of at most the available cores, and no more batches at once
+    than fit a budget of 4M floats per array; when only one batch can run at
+    a time, they run on the calling thread. The result is deterministic given
+    ``(stream, batch_size)`` and independent of the number of threads.
     """
     pts = as_matrix(x, "X")
     if pts.shape[1] != config.input_dim:
         raise DimensionMismatch(
             f"inputs have {pts.shape[1]} columns, expected {config.input_dim}"
         )
+    if not is_int(n_draws) or n_draws < 0:
+        raise ValueError(f"n_draws must be an integer >= 0, got {n_draws!r}")
     m = pts.shape[0]
     d = config.hidden_width
     if batch_size is None:
-        batch_size = max(1, _IN_FLIGHT_FLOATS // 2 // max(d * m, 1))
+        batch_size = max(1, BATCH_FLOATS // max(d * m, 1))
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
@@ -309,8 +312,8 @@ def prior_function_draws(
     in_flight = max(1, _IN_FLIGHT_FLOATS // batch_floats)
     workers = min(_available_cores(), len(batches), in_flight)
     if workers <= 1:
-        # On the calling thread: with glibc, a pool thread's malloc arena adds
-        # about 40 MB of peak RSS to a one-batch call of 100 draws at width 1000.
+        # On the calling thread, so that a call that fits one batch makes no
+        # pool thread and no glibc malloc arena of its own.
         for lo, sub in batches:
             draw(lo, sub)
         return out

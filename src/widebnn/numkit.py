@@ -44,6 +44,13 @@ _JITTER_REL = 1e-10
 _SAMPLE_JITTER = 1e-12
 _PSD_TOL = 1e-10
 _PHILOX_ZERO_BLOCK = (0, 0, 0, 0)  # one 4x64-bit Philox counter block
+# Floats per array in one batch of prior draws or of sampler proposals (1 MB).
+BATCH_FLOATS = 1 << 17
+
+
+def is_int(value) -> bool:
+    """True for a Python or NumPy integer; False for a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -47,6 +47,7 @@ be the faster one at small widths.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -56,7 +57,8 @@ import scipy.special
 from .errors import DimensionMismatch, InsufficientSamples
 from .likelihood import LikelihoodSpec, log_likelihood_batch
 from .network import NetworkConfig, _split_flat, forward, reparametrise, sample_layers
-from .numkit import GaussianStream, as_matrix
+from .numkit import BATCH_FLOATS as _BATCH_BUDGET  # doubles held per gather batch
+from .numkit import GaussianStream, as_matrix, is_int
 
 __all__ = [
     "MomentAccumulator",
@@ -67,7 +69,6 @@ __all__ = [
     "rejection_sample",
 ]
 
-_BATCH_BUDGET = 1 << 21  # doubles held per gather batch (~16 MB)
 _BLOCK = 64  # proposals per Philox key
 _EVAL_KEYS = 1 << 63  # eval-point stream of proposal i: key _EVAL_KEYS + i
 
@@ -304,10 +305,12 @@ def rejection_sample(
     exact i.i.d. samples from the posterior pushed through the network.
     Deterministic given (seed, chunk_size); independent of ``workers``.
     """
-    if n_proposals < 1:
-        raise ValueError("n_proposals must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+    for name, value in (("n_proposals", n_proposals), ("chunk_size", chunk_size),
+                        ("workers", workers)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     train_x = np.asarray(train_x, dtype=np.float64)
     if train_x.size == 0:
         train_x = np.zeros((0, config.input_dim))
@@ -352,21 +355,22 @@ def rejection_sample(
 
     spans = [(lo, min(lo + chunk_size, n_proposals))
              for lo in range(0, n_proposals, chunk_size)]
-    if workers <= 1:
-        results = [run(s) for s in spans]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run, spans))
-
     p_eval = eval_x.shape[0] * config.output_dim
     acc = MomentAccumulator.zeros(p_eval)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
     accepts = 0
-    for chunk_accepts, chunk_acc, chunk_pstats in results:  # ascending chunk order
-        accepts += chunk_accepts
-        acc.merge_in(chunk_acc)
-        if pstats is not None:
-            pstats.merge_in(chunk_pstats)
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            results = map(run, spans)
+        else:
+            ex = stack.enter_context(concurrent.futures.ThreadPoolExecutor(workers))
+            results = ex.map(run, spans)
+        # Each chunk is merged as it arrives, in ascending chunk order.
+        for chunk_accepts, chunk_acc, chunk_pstats in results:
+            accepts += chunk_accepts
+            acc.merge_in(chunk_acc)
+            if pstats is not None:
+                pstats.merge_in(chunk_pstats)
 
     if acc.count >= 2:
         mean, cov = finalize(acc)

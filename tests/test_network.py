@@ -213,6 +213,58 @@ class TestPriorFunctionDraws:
         with pytest.raises(NotPositiveDefinite):
             prior_function_draws(cfg, x, 40, GaussianStream(1, 0), batch_size=2)
 
+    def _record_pools_and_batches(self, monkeypatch, cores):
+        pools, batches = [], []
+        real_pool = concurrent.futures.ThreadPoolExecutor
+        real_layers = network.sample_layers
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        def recording_layers(*args, **kw):
+            batches.append(1)
+            return real_layers(*args, **kw)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(network, "sample_layers", recording_layers)
+        monkeypatch.setattr(network, "_available_cores", lambda: cores)
+        return pools, batches
+
+    @pytest.mark.parametrize("cores", [2, 64])
+    def test_default_batches_run_on_every_core(self, monkeypatch, cores):
+        # 100 draws at width 1000 on 10 points: default batches of 13 draws.
+        pools, batches = self._record_pools_and_batches(monkeypatch, cores)
+        cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=1000)
+        x = np.linspace(-1.0, 1.0, 10)[:, None]
+        draws = prior_function_draws(cfg, x, 100, GaussianStream(4, 0))
+        assert len(batches) == 8
+        assert pools == [min(cores, 8)]
+        assert np.array_equal(
+            draws, prior_function_draws(cfg, x, 100, GaussianStream(4, 0), batch_size=13))
+
+    def test_default_batches_identical_across_core_counts(self, monkeypatch):
+        cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=1000)
+        x = np.linspace(-1.0, 1.0, 10)[:, None]
+        draws = []
+        for cores in (1, 2, 64):
+            monkeypatch.setattr(network, "_available_cores", lambda: cores)
+            draws.append(prior_function_draws(cfg, x, 100, GaussianStream(4, 0)).tobytes())
+        assert draws[0] == draws[1] == draws[2]
+
+    def test_one_batch_call_makes_no_pool(self, monkeypatch):
+        pools, batches = self._record_pools_and_batches(monkeypatch, 64)
+        cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=1000)
+        x = np.linspace(-1.0, 1.0, 10)[:, None]
+        prior_function_draws(cfg, x, 13, GaussianStream(4, 0))
+        assert batches == [1] and pools == []
+
+    @pytest.mark.parametrize("n_draws", [-1, 2.5, True, np.float64(3.0)])
+    def test_n_draws_must_be_a_nonnegative_integer(self, n_draws):
+        cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)
+        with pytest.raises(ValueError, match="n_draws must be an integer >= 0"):
+            prior_function_draws(cfg, np.array([[0.5]]), n_draws, GaussianStream(1, 0))
+
     def test_depth_zero_exact_cov(self):
         cfg = NetworkConfig(depth=0, input_dim=2, output_dim=1, hidden_width=1,
                             sigma_w=1.0, sigma_b=0.2, nonlinearity="identity")

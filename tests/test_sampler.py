@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,36 @@ class TestRejectionSampler:
         with pytest.raises(ValueError, match="chunk_size must be >= 1"):
             rejection_sample(linear_config(), TX, TY, LIK, EX, 1000, seed=0,
                              chunk_size=chunk)
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_proposals", 1000.5), ("n_proposals", True), ("chunk_size", 2.5),
+        ("chunk_size", True), ("workers", 2.5), ("workers", True),
+    ])
+    def test_integer_arguments_must_be_integers(self, name, value):
+        kw = dict(n_proposals=1000, seed=0, chunk_size=256, workers=1)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            rejection_sample(linear_config(), TX, TY, LIK, EX, **kw)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            rejection_sample(linear_config(), TX, TY, LIK, EX, 1000, seed=0,
+                             workers=workers)
+
+    def test_chunks_are_merged_as_they_arrive(self):
+        # 200 chunks of 64, each with a 100 x 100 scatter (80 KB): kept until
+        # the last chunk, they would hold 16 MB.
+        ex = np.linspace(-2.0, 2.0, 100)[:, None]
+        tracemalloc.start()
+        try:
+            report = rejection_sample(linear_config(), TX, TY, LIK, ex, 200 * 64,
+                                      seed=5, chunk_size=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.accepts > 0
+        assert peak < 20 * 100 * 100 * 8
 
     def test_empty_train_accepts_everything(self):
         cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=50)
