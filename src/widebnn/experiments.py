@@ -35,8 +35,8 @@ __all__ = [
     "DATASET_STREAM_ID",
 ]
 
-# Proposal substreams use ids 0 .. n_proposals-1; dataset construction gets
-# its own reserved id far outside that range.
+# Proposal i draws from the block stream i // 64 and its eval points from
+# 2**63 + i (see sampler); the dataset's reserved id lies between the two.
 DATASET_STREAM_ID = 1 << 62
 
 TARGET_RULES = ("sin", "prior_draw")

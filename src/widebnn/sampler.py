@@ -9,10 +9,10 @@ normal CDF to give the acceptance uniform. An accepted proposal i of function
 mode draws its eval-point normals from ``GaussianStream(seed, 2**63 + i)``, a
 key space apart from the block ids and from ``experiments.DATASET_STREAM_ID``
 (2**62). Acceptance happens in log space (``log u < log likelihood``).
-Proposals are processed in fixed-size chunks merged in ascending order, so
-results are invariant to the worker count; a chunk that starts inside a block
-draws and discards the block's earlier rows, so accepts do not depend on the
-chunk size either.
+By default proposals run in chunks of whole blocks of about
+``numkit.BATCH_FLOATS`` normals, merged in ascending order, so results are
+invariant to the worker count; a chunk that starts inside a block draws and
+discards the block's earlier rows, so accepts do not depend on the chunk size.
 
 Two internal evaluation paths produce identically distributed results:
 
@@ -46,8 +46,8 @@ be the faster one at small widths.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
-import contextlib
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -174,6 +174,10 @@ class SamplerReport:
     moments_valid: bool
     recorded_param_stats: Optional[Dict[int, Tuple[float, float]]] = None
     mode: str = "parameter"
+    # Mean over all proposals of the (sup-1) likelihood, the expected accept
+    # rate, and its Monte Carlo standard error (None below two proposals).
+    mean_likelihood: Optional[float] = None
+    mean_likelihood_se: Optional[float] = None
 
 
 def _param_scales(config: NetworkConfig, indices: np.ndarray) -> np.ndarray:
@@ -224,28 +228,43 @@ def _gather(seed: int, lo: int, hi: int, count: int):
         pos = end
 
 
+def _normals_per_proposal(config: NetworkConfig, m_train: int, mode: str) -> int:
+    """Normals one proposal draws: every parameter, or every sampled layer's
+    train-point activations; each mode adds the acceptance normal."""
+    if mode == "parameter":
+        return config.n_params + 1
+    return sum(config.layer_dims[1:]) * m_train + 1
+
+
+def _slices(hit: np.ndarray, floats: int):
+    """Cut the accepted rows ``hit`` into slices whose arrays hold at most
+    ``_BATCH_BUDGET`` floats at ``floats`` per proposal (one row if larger)."""
+    step = max(1, _BATCH_BUDGET // floats)
+    return (hit[k:k + step] for k in range(0, hit.size, step))
+
+
 def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
                          indices, scales):
     # Raw N(0,1) parameters under the NTK convention induce the same functions
     # as scaled ones under the standard convention, so both run as NTK.
     ntk = replace(config, parametrisation="ntk")
     n_par = config.n_params
-    p_eval = eval_x.shape[0] * config.output_dim
-    acc = MomentAccumulator.zeros(p_eval)
+    acc = MomentAccumulator.zeros(eval_x.shape[0] * config.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
-    accepts = 0
-    for _, z in _gather(seed, lo, hi, n_par + 1):
+    lik_acc = MomentAccumulator.zeros(1)
+    per_accept = max(n_par, max(config.layer_dims) * eval_x.shape[0])
+    for _, z in _gather(seed, lo, hi,
+                        _normals_per_proposal(config, train_x.shape[0], "parameter")):
         outs = forward(_split_flat(z[:, :n_par], ntk), ntk, train_x)
         logl = log_likelihood_batch(lik, outs, train_y)
+        lik_acc.update_block(np.exp(logl)[:, None])
         log_u = scipy.special.log_ndtr(z[:, n_par])
-        hit = np.nonzero(log_u < logl)[0]
-        if hit.size:
-            accepts += int(hit.size)
-            f_eval = forward(_split_flat(z[hit, :n_par], ntk), ntk, eval_x)
-            acc.update_block(f_eval.reshape(hit.size, -1))
+        for part in _slices(np.nonzero(log_u < logl)[0], per_accept):
+            f_eval = forward(_split_flat(z[part, :n_par], ntk), ntk, eval_x)
+            acc.update_block(f_eval.reshape(part.size, -1))
             if pstats is not None:
-                pstats.update_block(z[hit][:, indices] * scales)
-    return accepts, acc, pstats
+                pstats.update_block(z[part][:, indices] * scales)
+    return acc, pstats, lik_acc
 
 
 def _layer_normals(z: np.ndarray, config: NetworkConfig, m: int):
@@ -260,29 +279,28 @@ def _layer_normals(z: np.ndarray, config: NetworkConfig, m: int):
 def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi):
     mt, me = train_x.shape[0], eval_x.shape[0]
     units = sum(config.layer_dims[1:])
-    train_total = units * mt + 1  # + acceptance normal
     eval_total = units * me
     acc = MomentAccumulator.zeros(me * config.output_dim)
-    accepts = 0
+    lik_acc = MomentAccumulator.zeros(1)
+    per_accept = max(units, me) * me  # eval normals; me x me covariances
     stream = GaussianStream(seed, _EVAL_KEYS + lo)
-    for pos, z in _gather(seed, lo, hi, train_total):
+    for pos, z in _gather(seed, lo, hi, _normals_per_proposal(config, mt, "function")):
         train_layers = list(sample_layers(config, train_x, _layer_normals(z, config, mt)))
         outs = np.swapaxes(train_layers[-1], 1, 2)  # (b, m_t, p)
         logl = log_likelihood_batch(lik, outs, train_y)
+        lik_acc.update_block(np.exp(logl)[:, None])
         log_u = scipy.special.log_ndtr(z[:, -1])
-        hit = np.nonzero(log_u < logl)[0]
-        if hit.size:
-            accepts += int(hit.size)
-            z_eval = np.empty((hit.size, eval_total))
-            for j, local in enumerate(hit):
+        for part in _slices(np.nonzero(log_u < logl)[0], per_accept):
+            z_eval = np.empty((part.size, eval_total))
+            for j, local in enumerate(part):
                 stream.rekey(_EVAL_KEYS + pos + int(local))
                 stream.normal(eval_total, out=z_eval[j])
-            picked = [layer[hit] for layer in train_layers]
+            picked = [layer[part] for layer in train_layers]
             for f_t in sample_layers(config, eval_x, _layer_normals(z_eval, config, me),
                                      train_x, picked):
                 pass
-            acc.update_block(np.swapaxes(f_t, 1, 2).reshape(hit.size, -1))
-    return accepts, acc, None
+            acc.update_block(np.swapaxes(f_t, 1, 2).reshape(part.size, -1))
+    return acc, None, lik_acc
 
 
 def rejection_sample(
@@ -295,7 +313,7 @@ def rejection_sample(
     seed: int,
     record_params: Optional[Sequence[int]] = None,
     workers: int = 1,
-    chunk_size: int = 1024,
+    chunk_size: Optional[int] = None,
     mode: str = "auto",
 ) -> SamplerReport:
     """Draw exact posterior samples of network outputs at ``eval_x``.
@@ -303,9 +321,18 @@ def rejection_sample(
     Each proposal is an independent prior draw accepted with probability
     equal to its (sup-1) likelihood on the training set; accepted draws are
     exact i.i.d. samples from the posterior pushed through the network.
-    Deterministic given (seed, chunk_size); independent of ``workers``.
+
+    The default ``chunk_size`` holds ``numkit.BATCH_FLOATS // n`` proposals
+    at ``n`` normals per proposal, rounded down to whole blocks of 64 and at
+    least one block, so it depends only on the config, ``train_x`` and the
+    mode. With ``workers > 1`` at most ``2 * workers`` chunks are submitted
+    ahead of the merge; a failing chunk cancels the queued ones. Accepted
+    proposals are extended to ``eval_x`` in slices of about
+    ``BATCH_FLOATS`` floats per array. Deterministic given (seed,
+    chunk_size); independent of ``workers``.
     """
-    for name, value in (("n_proposals", n_proposals), ("chunk_size", chunk_size),
+    for name, value in (("n_proposals", n_proposals),
+                        ("chunk_size", 1 if chunk_size is None else chunk_size),
                         ("workers", workers)):
         if not is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -326,19 +353,18 @@ def rejection_sample(
     if eval_x.shape[1] != config.input_dim:
         raise DimensionMismatch("eval_X columns must equal input_dim")
 
+    mt = train_x.shape[0]
     if mode == "auto":
-        # Normals per proposal: all parameters, or every sampled layer's
-        # train activations; each mode adds the acceptance normal.
-        function_normals = (config.depth * config.hidden_width
-                            + config.output_dim) * train_x.shape[0] + 1
-        if record_params is not None or config.n_params + 1 <= function_normals:
-            mode = "parameter"
-        else:
-            mode = "function"
+        fewer = (_normals_per_proposal(config, mt, "parameter")
+                 <= _normals_per_proposal(config, mt, "function"))
+        mode = "parameter" if record_params is not None or fewer else "function"
     if mode not in ("parameter", "function"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "function" and record_params is not None:
         raise ValueError("parameter recording requires mode='parameter'")
+    if chunk_size is None:
+        per_chunk = _BATCH_BUDGET // _normals_per_proposal(config, mt, mode)
+        chunk_size = max(_BLOCK, per_chunk - per_chunk % _BLOCK)
 
     indices = scales = None
     if record_params is not None:
@@ -350,27 +376,38 @@ def rejection_sample(
     else:
         runner, extra = _run_chunk_parameter, (indices, scales)
 
-    def run(span):
-        return runner(config, train_x, train_y, likelihood, eval_x, seed, *span, *extra)
+    def run(lo):
+        hi = min(lo + chunk_size, n_proposals)
+        return runner(config, train_x, train_y, likelihood, eval_x, seed, lo, hi, *extra)
 
-    spans = [(lo, min(lo + chunk_size, n_proposals))
-             for lo in range(0, n_proposals, chunk_size)]
-    p_eval = eval_x.shape[0] * config.output_dim
-    acc = MomentAccumulator.zeros(p_eval)
-    pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
-    accepts = 0
-    with contextlib.ExitStack() as stack:
+    def results():  # each chunk's result in ascending order
+        los = range(0, n_proposals, chunk_size)
         if workers == 1:
-            results = map(run, spans)
-        else:
-            ex = stack.enter_context(concurrent.futures.ThreadPoolExecutor(workers))
-            results = ex.map(run, spans)
-        # Each chunk is merged as it arrives, in ascending chunk order.
-        for chunk_accepts, chunk_acc, chunk_pstats in results:
-            accepts += chunk_accepts
-            acc.merge_in(chunk_acc)
-            if pstats is not None:
-                pstats.merge_in(chunk_pstats)
+            yield from map(run, los)
+            return
+        with concurrent.futures.ThreadPoolExecutor(workers) as ex:
+            ahead = collections.deque()
+            try:
+                for lo in los:
+                    ahead.append(ex.submit(run, lo))
+                    if len(ahead) == 2 * workers:
+                        yield ahead.popleft().result()
+                while ahead:
+                    yield ahead.popleft().result()
+            except BaseException:
+                ex.shutdown(cancel_futures=True)
+                raise
+
+    acc = MomentAccumulator.zeros(eval_x.shape[0] * config.output_dim)
+    pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
+    lik_acc = MomentAccumulator.zeros(1)
+    # Each chunk is merged as it arrives, in ascending chunk order.
+    for chunk_acc, chunk_pstats, chunk_lik in results():
+        acc.merge_in(chunk_acc)
+        lik_acc.merge_in(chunk_lik)
+        if pstats is not None:
+            pstats.merge_in(chunk_pstats)
+    n = n_proposals
 
     if acc.count >= 2:
         mean, cov = finalize(acc)
@@ -390,12 +427,14 @@ def rejection_sample(
         }
 
     return SamplerReport(
-        proposals=n_proposals,
-        accepts=accepts,
-        accept_rate=accepts / n_proposals,
+        proposals=n,
+        accepts=acc.count,
+        accept_rate=acc.count / n,
         posterior_mean=mean,
         posterior_cov=cov,
         moments_valid=valid,
         recorded_param_stats=recorded,
         mode=mode,
+        mean_likelihood=float(lik_acc.mean[0]),
+        mean_likelihood_se=float(np.sqrt(lik_acc.scatter[0, 0] / (n - 1) / n)) if n > 1 else None,
     )

@@ -1,3 +1,5 @@
+import concurrent.futures
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ from widebnn import sampler
 from widebnn.errors import DimensionMismatch, InsufficientSamples
 from widebnn.experiments import DATASET_STREAM_ID
 from widebnn.kernels import nngp_kernel
+from widebnn.numkit import BATCH_FLOATS
 from widebnn.likelihood import LikelihoodSpec
 from widebnn.linreg import LinRegProblem, linreg_predictive
 from widebnn.network import NetworkConfig
@@ -173,6 +176,13 @@ class TestRejectionSampler:
         assert np.array_equal(r2.posterior_mean, runs[0].posterior_mean)
         assert np.array_equal(r2.posterior_cov, runs[0].posterior_cov)
 
+    def test_chunk_size_none_is_the_default(self):
+        r1 = rejection_sample(linear_config(), TX, TY, LIK, EX, 1000, seed=0)
+        r2 = rejection_sample(linear_config(), TX, TY, LIK, EX, 1000, seed=0,
+                              chunk_size=None)
+        assert r1.accepts == r2.accepts
+        assert np.array_equal(r1.posterior_mean, r2.posterior_mean)
+
     @pytest.mark.parametrize("chunk", [0, -5])
     def test_chunk_size_must_be_positive(self, chunk):
         with pytest.raises(ValueError, match="chunk_size must be >= 1"):
@@ -329,3 +339,151 @@ def test_eval_keys_are_apart_from_block_ids_and_the_dataset_stream():
     assert sampler._EVAL_KEYS > DATASET_STREAM_ID > last_block
     # Philox keys are taken modulo 2**64, so no eval key wraps onto a block id.
     assert sampler._EVAL_KEYS + top < 1 << 64
+
+
+def normals_per_proposal(cfg, m, mode):
+    if mode == "parameter":
+        return cfg.n_params + 1
+    return (cfg.depth * cfg.hidden_width + cfg.output_dim) * m + 1
+
+
+@pytest.mark.parametrize("depth,width,m,mode,n", [
+    (0, 1, 3, "parameter", 100_000),   # the L=0 oracle: 3 normals, 43,648 per chunk
+    (3, 10, 4, "function", 5_000),     # 125 normals: 1,024 per chunk
+    (3, 100, 4, "function", 1_000),    # 1,205 normals: one block per chunk
+    (3, 1000, 4, "function", 200),     # 12,005 normals: one block, larger than the budget
+    (1, 1000, 1, "parameter", 300),    # 3,002 normals
+])
+def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n,
+                                                      monkeypatch):
+    cfg = NetworkConfig(depth=depth, input_dim=1, output_dim=1, hidden_width=width,
+                        nonlinearity="erf")
+    tx = np.linspace(-1, 1, m)[:, None]
+    spans = []
+    name = f"_run_chunk_{mode}"
+
+    def spy(config, train_x, train_y, lik, eval_x, seed, lo, hi, *extra):
+        spans.append((lo, hi))
+        empty = MomentAccumulator.zeros(eval_x.shape[0])
+        return empty, None, MomentAccumulator(hi - lo, np.ones(1), np.zeros((1, 1)))
+
+    monkeypatch.setattr(sampler, name, spy)
+    report = rejection_sample(cfg, tx, np.sin(tx), LIK, EX, n, seed=0, mode=mode,
+                              chunk_size=None)
+    assert report.proposals == n and report.mean_likelihood == 1.0
+    count = normals_per_proposal(cfg, m, mode)
+    block = sampler._BLOCK
+    assert [lo for lo, _ in spans] == list(range(0, n, spans[0][1]))
+    assert spans[-1][1] == n
+    for lo, hi in spans:
+        assert lo % block == 0
+        if block * count > BATCH_FLOATS:
+            assert hi - lo <= block
+        else:
+            assert (hi - lo) * count <= BATCH_FLOATS
+    full = spans[0][1]
+    assert full % block == 0
+    if block * count <= BATCH_FLOATS:
+        assert (full + block) * count > BATCH_FLOATS or len(spans) == 1
+
+
+def test_default_chunks_are_worker_invariant():
+    # 2,405 normals per proposal: chunks of one block, 7 of them.
+    cfg = NetworkConfig(depth=2, input_dim=1, output_dim=1, hidden_width=300)
+    tx = np.linspace(-1, 1, 4)[:, None]
+    lik = LikelihoodSpec("gaussian", sigma2=1.0)
+    kw = dict(n_proposals=400, seed=21, mode="function")
+    runs = [rejection_sample(cfg, tx, 0.0 * tx, lik, EX, workers=w, **kw)
+            for w in (1, 2, 3)]
+    assert runs[0].moments_valid and runs[0].mode == "function"
+    for r in runs[1:]:
+        assert r.accepts == runs[0].accepts
+        assert np.array_equal(r.posterior_mean, runs[0].posterior_mean)
+        assert np.array_equal(r.posterior_cov, runs[0].posterior_cov)
+        assert r.mean_likelihood == runs[0].mean_likelihood
+        assert r.mean_likelihood_se == runs[0].mean_likelihood_se
+    fixed = rejection_sample(cfg, tx, 0.0 * tx, lik, EX, chunk_size=1024, **kw)
+    assert fixed.accepts == runs[0].accepts
+    assert np.allclose(fixed.posterior_mean, runs[0].posterior_mean)
+    assert np.allclose(fixed.mean_likelihood, runs[0].mean_likelihood)
+
+
+def test_accept_path_is_extended_in_bounded_slices():
+    # No train points: every proposal is accepted, and one chunk holds all
+    # 1,024. Extended at once, their 40 x 40 eval covariances alone take
+    # 13 MB per array; in slices, each array holds about BATCH_FLOATS floats.
+    cfg = NetworkConfig(depth=2, input_dim=1, output_dim=1, hidden_width=20)
+    ex = np.linspace(-2.0, 2.0, 40)[:, None]
+    tracemalloc.start()
+    try:
+        report = rejection_sample(cfg, np.zeros((0, 1)), np.zeros((0, 1)), LIK, ex,
+                                  1024, seed=1, mode="function")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.accepts == 1024
+    assert peak < 16 * BATCH_FLOATS * 8
+
+
+def test_at_most_two_chunks_per_worker_are_in_flight(monkeypatch):
+    main = threading.get_ident()
+    state = {"submitted": 0, "merged": 0, "most": 0}
+    merge_in = MomentAccumulator.merge_in
+
+    def counting_merge_in(self, other):
+        # Chunk moments merged into the total, not block updates on a worker.
+        if threading.get_ident() == main and other.mean.size == EX.shape[0]:
+            state["merged"] += 1
+        return merge_in(self, other)
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            state["submitted"] += 1
+            state["most"] = max(state["most"], state["submitted"] - state["merged"])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(MomentAccumulator, "merge_in", counting_merge_in)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    report = rejection_sample(linear_config(), TX, TY, LIK, EX, 40 * 64, seed=5,
+                              chunk_size=64, workers=2)
+    assert state["submitted"] == 40 and report.accepts > 0
+    assert state["most"] <= 2 * 2
+
+
+def test_failing_chunk_cancels_queued_chunks(monkeypatch):
+    started = []
+    runner = sampler._run_chunk_parameter
+
+    def failing(config, train_x, train_y, lik, eval_x, seed, lo, hi, *extra):
+        started.append(lo)
+        if lo == 64:
+            raise FloatingPointError("chunk failed")
+        return runner(config, train_x, train_y, lik, eval_x, seed, lo, hi, *extra)
+
+    monkeypatch.setattr(sampler, "_run_chunk_parameter", failing)
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        rejection_sample(linear_config(), TX, TY, LIK, EX, 100 * 64, seed=5,
+                         chunk_size=64, workers=2)
+    assert len(started) < 10
+
+
+def test_mean_likelihood_matches_the_evidence_at_l0():
+    # f = w x with w ~ N(0, 1), so f ~ N(0, K) at the train points, and the
+    # mean of exp(-|y - f|^2 / (2 s2)) is det(I + K/s2)^(-1/2)
+    # * exp(-y' (K + s2 I)^-1 y / 2).
+    report = rejection_sample(linear_config(), TX, TY, LIK, EX, 50_000, seed=8)
+    k = nngp_kernel(linear_config(), TX, TX)
+    s2, y = LIK.sigma2, TY[:, 0]
+    _, logdet = np.linalg.slogdet(np.eye(3) + k / s2)
+    expected = np.exp(-0.5 * logdet - 0.5 * y @ np.linalg.solve(k + s2 * np.eye(3), y))
+    assert abs(report.mean_likelihood - expected) < 4 * report.mean_likelihood_se
+    # The accept rate estimates the same number, with a larger error.
+    assert abs(report.accept_rate - expected) < 4 * np.sqrt(expected / report.proposals)
+
+
+def test_mean_likelihood_is_reported_when_nothing_is_accepted():
+    lik = LikelihoodSpec("gaussian", sigma2=1e-3)
+    report = rejection_sample(linear_config(), TX, TY, lik, EX, 200, seed=0)
+    assert report.accepts == 0
+    assert 0.0 < report.mean_likelihood < 1.0 / 200
+    assert report.mean_likelihood_se > 0.0
