@@ -122,6 +122,8 @@ def _cmd_sample(args) -> int:
         "accept_rate": report.accept_rate,
         "moments_valid": report.moments_valid,
         "mode": report.mode,
+        "mean_likelihood": report.mean_likelihood,
+        "mean_likelihood_se": report.mean_likelihood_se,
     }
     if report.moments_valid:
         doc["posterior_mean"] = report.posterior_mean.tolist()

@@ -35,8 +35,9 @@ __all__ = [
     "DATASET_STREAM_ID",
 ]
 
-# Proposal i draws from the block stream i // 64 and its eval points from
-# 2**63 + i (see sampler); the dataset's reserved id lies between the two.
+# Proposal i draws from the block stream i // G, G >= 64 proposals per block
+# (see sampler._block_size), and its eval points from 2**63 + i; the
+# dataset's reserved id lies between the two.
 DATASET_STREAM_ID = 1 << 62
 
 TARGET_RULES = ("sin", "prior_draw")
@@ -58,18 +59,21 @@ class ExperimentConfig:
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
-        widths = [int(w) for w in self.widths]
+        widths = list(self.widths)
+        bad = [w for w in widths if not is_int(w) or w < 1]
+        if bad:
+            raise ConfigError(f"widths must be integers >= 1, got {bad[0]!r}")
         if not widths or any(b <= a for a, b in zip(widths, widths[1:])):
             raise ConfigError("widths must be nonempty and strictly increasing")
-        self.widths = widths
-        if self.n_proposals < 1:
-            raise ConfigError("n_proposals must be >= 1")
+        self.widths = [int(w) for w in widths]
+        for name, least in (("train_m", 0), ("test_m", 1), ("n_proposals", 1),
+                            ("seed", None), ("workers", 1)):
+            value = getattr(self, name)
+            if not is_int(value) or (least is not None and value < least):
+                bound = "" if least is None else f" >= {least}"
+                raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
         if self.target_rule not in TARGET_RULES:
             raise ConfigError(f"target_rule must be one of {TARGET_RULES}")
-        if not is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not is_int(self.workers) or self.workers < 1:
-            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
 def _take(obj: dict, allowed: dict, where: str) -> dict:
@@ -104,13 +108,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         likelihood=likelihood,
     )
     if "train_m" in ds:
-        kwargs["train_m"] = int(ds["train_m"])
+        kwargs["train_m"] = ds["train_m"]
     if "train_range" in ds:
         kwargs["train_range"] = tuple(float(v) for v in ds["train_range"])
     if "target_rule" in ds:
         kwargs["target_rule"] = ds["target_rule"]
     if "test_m" in ev:
-        kwargs["test_m"] = int(ev["test_m"])
+        kwargs["test_m"] = ev["test_m"]
     if "test_range" in ev:
         kwargs["test_range"] = tuple(float(v) for v in ev["test_range"])
     for key in ("widths", "n_proposals", "seed", "workers", "output_path"):

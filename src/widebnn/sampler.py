@@ -1,18 +1,24 @@
 """Exact posterior sampling of the finite BNN by rejection against the prior.
 
-Proposals are keyed in blocks of 64 (Philox keying as in Salmon et al.,
-"Random123", SC'11): proposal i takes row ``i % 64`` of
-``GaussianStream(seed, i // 64)``, which draws its block's rows in proposal
-order. A row holds the parameter draw (or, in function mode, the train-point
-normals of every layer), then one extra normal mapped through the standard
-normal CDF to give the acceptance uniform. An accepted proposal i of function
+Proposals are keyed in blocks of fixed work (Philox keying as in Salmon et
+al., "Random123", SC'11): at n normals per proposal a block holds
+``G = 64 * ceil(64 / n)`` proposals, so every key draws at least 4,096
+normals, and rows of 64 or more normals keep blocks of 64. Proposal i takes
+row ``i % G`` of ``GaussianStream(seed, i // G)``, which draws its block's
+rows in proposal order. G depends only on the config, the train points and
+the mode, never on the worker count. A row holds the parameter draw (or, in
+function mode, the train-point normals of every layer), then one extra
+normal mapped through the standard normal CDF to give the acceptance
+uniform. An accepted proposal i of function
 mode draws its eval-point normals from ``GaussianStream(seed, 2**63 + i)``, a
 key space apart from the block ids and from ``experiments.DATASET_STREAM_ID``
 (2**62). Acceptance happens in log space (``log u < log likelihood``).
 By default proposals run in chunks of whole blocks of about
 ``numkit.BATCH_FLOATS`` normals, merged in ascending order, so results are
 invariant to the worker count; a chunk that starts inside a block draws and
-discards the block's earlier rows, so accepts do not depend on the chunk size.
+discards the block's earlier rows (fewer than ``G * n``: below 8,192 normals
+for rows under 64 normals, 63 rows otherwise), so accepts do not depend on
+the chunk size.
 
 Two internal evaluation paths produce identically distributed results:
 
@@ -69,7 +75,7 @@ __all__ = [
     "rejection_sample",
 ]
 
-_BLOCK = 64  # proposals per Philox key
+_BLOCK = 64  # proposals per Philox key at 64 or more normals per proposal
 _EVAL_KEYS = 1 << 63  # eval-point stream of proposal i: key _EVAL_KEYS + i
 
 
@@ -191,37 +197,46 @@ def _param_scales(config: NetworkConfig, indices: np.ndarray) -> np.ndarray:
     return np.concatenate([a.ravel() for wb in zip(p.weights, p.biases) for a in wb])[indices]
 
 
+def _block_size(count: int) -> int:
+    """Proposals per Philox key at ``count`` normals per proposal:
+    ``G(n) = 64 * ceil(64 / n)``, so every key draws at least 4,096 normals
+    and rows of 64 or more normals keep blocks of 64."""
+    return _BLOCK * -(-_BLOCK // count)
+
+
 def _gather(seed: int, lo: int, hi: int, count: int):
     """Yield ``(pos, z)`` for consecutive batches of proposals ``lo .. hi - 1``.
 
     Row j of ``z`` holds the ``count`` normals of proposal ``i = pos + j``:
-    row ``i % _BLOCK`` of ``GaussianStream(seed, i // _BLOCK)``, which draws
-    its block's rows in proposal order. One stream is re-keyed once per block
-    and draws each block's rows of a batch in one call; the rows of ``lo``'s
-    block before ``lo`` are drawn and discarded. A batch holds at most
-    ``_BATCH_BUDGET`` doubles (one row if a row is larger) and ends on a block
-    boundary when it holds at least one block.
+    row ``i % G`` of ``GaussianStream(seed, i // G)`` with ``G =
+    _block_size(count)``, which draws its block's rows in proposal order.
+    One stream is re-keyed once per block and draws each block's rows of a
+    batch in one call; the rows of ``lo``'s block before ``lo`` are drawn
+    and discarded. A batch holds at most ``_BATCH_BUDGET`` doubles (one row
+    if a row is larger) and ends on a block boundary when it holds at least
+    one block.
     """
+    size = _block_size(count)
     rows = max(1, _BATCH_BUDGET // count)
-    if rows >= _BLOCK:
-        rows -= rows % _BLOCK
-    block = lo // _BLOCK
+    if rows >= size:
+        rows -= rows % size
+    block = lo // size
     stream = GaussianStream(seed, block)
-    skip = lo % _BLOCK
+    skip = lo % size
     while skip:
         k = min(skip, rows)
         stream.normal(k * count)
         skip -= k
     pos = lo
     while pos < hi:
-        end = min(hi, pos + rows if rows < _BLOCK else (pos + rows) // _BLOCK * _BLOCK)
+        end = min(hi, pos + rows if rows < size else (pos + rows) // size * size)
         z = np.empty((end - pos, count))
         row = pos
         while row < end:
-            if row // _BLOCK != block:
-                block = row // _BLOCK
+            if row // size != block:
+                block = row // size
                 stream.rekey(block)
-            stop = min(end, (block + 1) * _BLOCK)
+            stop = min(end, (block + 1) * size)
             stream.normal((stop - row) * count, out=z[row - pos:stop - pos].reshape(-1))
             row = stop
         yield pos, z
@@ -323,13 +338,13 @@ def rejection_sample(
     exact i.i.d. samples from the posterior pushed through the network.
 
     The default ``chunk_size`` holds ``numkit.BATCH_FLOATS // n`` proposals
-    at ``n`` normals per proposal, rounded down to whole blocks of 64 and at
-    least one block, so it depends only on the config, ``train_x`` and the
-    mode. With ``workers > 1`` at most ``2 * workers`` chunks are submitted
-    ahead of the merge; a failing chunk cancels the queued ones. Accepted
-    proposals are extended to ``eval_x`` in slices of about
-    ``BATCH_FLOATS`` floats per array. Deterministic given (seed,
-    chunk_size); independent of ``workers``.
+    at ``n`` normals per proposal, rounded down to whole Philox blocks of
+    ``64 * ceil(64 / n)`` proposals and at least one block, so it depends
+    only on the config, ``train_x`` and the mode. With ``workers > 1`` at
+    most ``2 * workers`` chunks are submitted ahead of the merge; a failing
+    chunk cancels the queued ones. Accepted proposals are extended to
+    ``eval_x`` in slices of about ``BATCH_FLOATS`` floats per array.
+    Deterministic given (seed, chunk_size); independent of ``workers``.
     """
     for name, value in (("n_proposals", n_proposals),
                         ("chunk_size", 1 if chunk_size is None else chunk_size),
@@ -363,8 +378,9 @@ def rejection_sample(
     if mode == "function" and record_params is not None:
         raise ValueError("parameter recording requires mode='parameter'")
     if chunk_size is None:
-        per_chunk = _BATCH_BUDGET // _normals_per_proposal(config, mt, mode)
-        chunk_size = max(_BLOCK, per_chunk - per_chunk % _BLOCK)
+        count = _normals_per_proposal(config, mt, mode)
+        block, per_chunk = _block_size(count), _BATCH_BUDGET // count
+        chunk_size = max(block, per_chunk - per_chunk % block)
 
     indices = scales = None
     if record_params is not None:

@@ -86,6 +86,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict(base_doc(seed=seed))
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_proposals", 100.0), ("n_proposals", True), ("n_proposals", 0),
+        ("widths", [2.5]), ("widths", [1, True]), ("widths", [0, 8]),
+    ])
+    def test_top_level_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            config_from_dict(base_doc(**{field: value}))
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("dataset", "train_m", 2.5), ("dataset", "train_m", -1),
+        ("dataset", "train_m", "3"), ("eval", "test_m", 2.5), ("eval", "test_m", 0),
+    ])
+    def test_grid_sizes_must_be_integers(self, section, field, value):
+        doc = base_doc()
+        doc[section][field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            config_from_dict(doc)
+
     def test_load_config_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -264,6 +282,44 @@ class TestCli:
     def test_sample_bad_width_exit_code(self, tmp_path, width):
         cfg = self.write_config(tmp_path)
         assert cli.main(["sample", "--config", str(cfg), "--width", width]) == 2
+
+    @pytest.mark.parametrize("command", ["sample", "sweep"])
+    @pytest.mark.parametrize("section,field,value", [
+        (None, "n_proposals", 100.0), (None, "n_proposals", True),
+        (None, "widths", [2.5]), ("dataset", "train_m", 2.5),
+        ("eval", "test_m", 2.5),
+    ])
+    def test_non_integer_field_exit_code(self, tmp_path, capsys, command, section,
+                                         field, value):
+        doc = base_doc(output_path=str(tmp_path / "sweep.csv"))
+        (doc if section is None else doc[section])[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(path)]
+        if command == "sample":
+            argv += ["--width", "8"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be")
+        assert f"got {value[0] if field == 'widths' else value!r}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_sample_reports_the_mean_likelihood(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        assert cli.main(["sample", "--config", str(cfg), "--width", "8"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["accepts"] > 0
+        assert 0.0 < doc["mean_likelihood"] <= 1.0
+        assert 0.0 < doc["mean_likelihood_se"] < doc["mean_likelihood"]
+        # Nothing accepted: the evidence is still reported.
+        cfg = self.write_config(tmp_path, likelihood={"kind": "gaussian", "sigma2": 1e-3},
+                                n_proposals=50)
+        assert cli.main(["sample", "--config", str(cfg), "--width", "8"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["accepts"] == 0 and not doc["moments_valid"]
+        assert 0.0 < doc["mean_likelihood"] < 1.0 / 50
+        assert doc["mean_likelihood_se"] > 0.0
 
     def test_nngp_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

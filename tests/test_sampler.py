@@ -158,6 +158,18 @@ class TestRejectionSampler:
         assert r1.accepts == r2.accepts == r3.accepts
         assert np.allclose(r1.posterior_mean, r2.posterior_mean)
         assert np.allclose(r1.posterior_mean, r3.posterior_mean)
+        # The oracle job: 3 normals per proposal, so 1,408 proposals per
+        # Philox block; chunks of 1,000 and 1,409 start inside blocks.
+        assert sampler._block_size(3) == 1408
+        kw = dict(n_proposals=5_000, seed=9)
+        whole = rejection_sample(linear_config(), TX, TY, LIK, EX, **kw)
+        for chunk, workers in ((1000, 1), (1409, 1), (1409, 2)):
+            r = rejection_sample(linear_config(), TX, TY, LIK, EX, chunk_size=chunk,
+                                 workers=workers, **kw)
+            assert r.accepts == whole.accepts
+            assert np.allclose(r.posterior_mean, whole.posterior_mean)
+            assert np.allclose(r.posterior_cov, whole.posterior_cov)
+            assert np.allclose(r.mean_likelihood, whole.mean_likelihood)
 
     def test_function_mode_chunk_and_worker_invariant(self):
         cfg = NetworkConfig(depth=2, input_dim=1, output_dim=1, hidden_width=20)
@@ -306,14 +318,26 @@ class TestRejectionSampler:
                              10, seed=0)
 
 
+@pytest.mark.parametrize("count,block", [
+    (1, 4096), (3, 1408), (9, 512), (13, 320), (63, 128), (64, 64), (125, 64),
+    (12_005, 64),
+])
+def test_block_size_draws_at_least_4096_normals_per_key(count, block):
+    assert sampler._block_size(count) == block
+    assert block % sampler._BLOCK == 0 and block * count >= 4096
+    # The smallest such multiple of 64 proposals.
+    assert block == sampler._BLOCK or (block - sampler._BLOCK) * count < 4096
+
+
 @pytest.mark.parametrize("chunk", [1, 127, 1024])
 def test_gather_rows_are_block_stream_rows(chunk, monkeypatch):
-    count, block = 13, sampler._BLOCK
+    count, block = 13, sampler._block_size(13)
+    assert block == 320
     lo = 5 * chunk + 3  # inside a block
     streams = {}
     # The default budget; batches of 3 blocks; of 10 rows, so that batches end
     # inside a block; and one row per batch, for a row larger than the budget.
-    for budget in (sampler._BATCH_BUDGET, count * 200, count * 10, 5):
+    for budget in (sampler._BATCH_BUDGET, count * 3 * block, count * 10, 5):
         monkeypatch.setattr(sampler, "_BATCH_BUDGET", budget)
         batches = list(_gather(17, lo, lo + chunk, count))
         assert [pos for pos, _ in batches] == list(
@@ -330,6 +354,17 @@ def test_gather_rows_are_block_stream_rows(chunk, monkeypatch):
                 rows = GaussianStream(17, i // block).normal(block * count)
                 streams[i // block] = rows.reshape(block, count)
             assert np.array_equal(z[j], streams[i // block][i % block])
+
+
+@pytest.mark.parametrize("count", [64, 125])
+def test_long_rows_keep_64_proposal_blocks(count):
+    # Rows of 64 or more normals keep the 64-proposal layout, so their seeded
+    # samples do not depend on the short-row block rule.
+    lo, hi = 61, 61 + 200  # starts inside block 0, ends inside block 4
+    rows = np.vstack([z for _, z in _gather(23, lo, hi, count)])
+    expected = np.vstack([GaussianStream(23, b).normal(64 * count).reshape(64, count)
+                          for b in range(5)])[lo:hi]
+    assert np.array_equal(rows, expected)
 
 
 def test_eval_keys_are_apart_from_block_ids_and_the_dataset_stream():
@@ -349,6 +384,8 @@ def normals_per_proposal(cfg, m, mode):
 
 @pytest.mark.parametrize("depth,width,m,mode,n", [
     (0, 1, 3, "parameter", 100_000),   # the L=0 oracle: 3 normals, 43,648 per chunk
+    (3, 1, 4, "parameter", 50_000),    # 9 normals: blocks of 512, 14,336 per chunk
+    (3, 10, 0, "function", 300_000),   # no train points, 1 normal: 131,072 per chunk
     (3, 10, 4, "function", 5_000),     # 125 normals: 1,024 per chunk
     (3, 100, 4, "function", 1_000),    # 1,205 normals: one block per chunk
     (3, 1000, 4, "function", 200),     # 12,005 normals: one block, larger than the budget
@@ -372,7 +409,7 @@ def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n,
                               chunk_size=None)
     assert report.proposals == n and report.mean_likelihood == 1.0
     count = normals_per_proposal(cfg, m, mode)
-    block = sampler._BLOCK
+    block = sampler._block_size(count)
     assert [lo for lo, _ in spans] == list(range(0, n, spans[0][1]))
     assert spans[-1][1] == n
     for lo, hi in spans:
