@@ -35,9 +35,10 @@ __all__ = [
     "DATASET_STREAM_ID",
 ]
 
-# Proposal i draws from the block stream i // G, G >= 64 proposals per block
-# (see sampler._block_size), and its eval points from 2**63 + i; the
-# dataset's reserved id lies between the two.
+# Keys of GaussianStream(seed, stream_id): proposal i's block i // G, G >= 64
+# (sampler._block_size); accepted proposal i's eval points, 2**63 + i; the
+# dataset, this id, between the two. Draw i of a prior_function_draws call
+# takes substream s + i of the caller's key (numkit.GaussianStream.rekey).
 DATASET_STREAM_ID = 1 << 62
 
 TARGET_RULES = ("sin", "prior_draw")

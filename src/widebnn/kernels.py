@@ -90,33 +90,33 @@ def ew_dcov(nonlinearity: str, a, b, c) -> np.ndarray:
     raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
 
 
-def _base_moments(config: NetworkConfig, x1: np.ndarray, x2: np.ndarray):
-    sw2, sb2 = config.sigma_w ** 2, config.sigma_b ** 2
+def _recursion(config: NetworkConfig, x1, x2, ntk: bool):
+    """K^{L+1} between two point sets, and with ``ntk`` Theta^{L+1}
+    (otherwise None), from one pass over the layers."""
+    x1 = as_matrix(x1, "X1")
+    x2 = as_matrix(x2, "X2")
     d0 = config.input_dim
+    if x1.shape[1] != d0 or x2.shape[1] != d0:
+        raise DimensionMismatch("input dimension does not match config")
+    sw2, sb2 = config.sigma_w ** 2, config.sigma_b ** 2
     a = sb2 + sw2 * np.einsum("ij,ij->i", x1, x1) / d0
     b = sb2 + sw2 * np.einsum("ij,ij->i", x2, x2) / d0
     c = sb2 + sw2 * (x1 @ x2.T) / d0
-    return a, b, c
-
-
-def _check_inputs(config: NetworkConfig, x1, x2):
-    x1 = as_matrix(x1, "X1")
-    x2 = as_matrix(x2, "X2")
-    if x1.shape[1] != config.input_dim or x2.shape[1] != config.input_dim:
-        raise DimensionMismatch("input dimension does not match config")
-    return x1, x2
+    theta = c.copy() if ntk else None
+    for _ in range(config.depth):
+        if ntk:
+            kdot = ew_dcov(config.nonlinearity, a[:, None], b[None, :], c)
+        c = sb2 + sw2 * ew_cov(config.nonlinearity, a[:, None], b[None, :], c)
+        if ntk:
+            theta = c + sw2 * kdot * theta
+        a = sb2 + sw2 * ew_cov(config.nonlinearity, a, a, a)
+        b = sb2 + sw2 * ew_cov(config.nonlinearity, b, b, b)
+    return c, theta
 
 
 def nngp_kernel(config: NetworkConfig, x1, x2) -> np.ndarray:
     """NNGP covariance K^{L+1} between two point sets."""
-    x1, x2 = _check_inputs(config, x1, x2)
-    sw2, sb2 = config.sigma_w ** 2, config.sigma_b ** 2
-    a, b, c = _base_moments(config, x1, x2)
-    for _ in range(config.depth):
-        c = sb2 + sw2 * ew_cov(config.nonlinearity, a[:, None], b[None, :], c)
-        a = sb2 + sw2 * ew_cov(config.nonlinearity, a, a, a)
-        b = sb2 + sw2 * ew_cov(config.nonlinearity, b, b, b)
-    return c
+    return _recursion(config, x1, x2, ntk=False)[0]
 
 
 def ntk_kernel(config: NetworkConfig, x1, x2) -> KernelPair:
@@ -125,17 +125,7 @@ def ntk_kernel(config: NetworkConfig, x1, x2) -> KernelPair:
     Theta^1 = K^1 and Theta^{l+1} = K^{l+1} + sigma_w^2 Kdot^{l+1} * Theta^l,
     with Kdot^{l+1} the derivative moment under the layer-l Gaussian.
     """
-    x1, x2 = _check_inputs(config, x1, x2)
-    sw2, sb2 = config.sigma_w ** 2, config.sigma_b ** 2
-    a, b, c = _base_moments(config, x1, x2)
-    theta = c.copy()
-    for _ in range(config.depth):
-        kdot = ew_dcov(config.nonlinearity, a[:, None], b[None, :], c)
-        c = sb2 + sw2 * ew_cov(config.nonlinearity, a[:, None], b[None, :], c)
-        theta = c + sw2 * kdot * theta
-        a = sb2 + sw2 * ew_cov(config.nonlinearity, a, a, a)
-        b = sb2 + sw2 * ew_cov(config.nonlinearity, b, b, b)
-    return KernelPair(K=c, Theta=theta)
+    return KernelPair(*_recursion(config, x1, x2, ntk=True))
 
 
 def _expand_outputs(mean_tp: np.ndarray, cov_tt: np.ndarray, p: int) -> GaussianPredictive:

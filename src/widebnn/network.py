@@ -7,7 +7,6 @@ materialising weight matrices for very wide networks.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Optional, Sequence
@@ -16,7 +15,7 @@ import numpy as np
 import scipy.special
 
 from .errors import DimensionMismatch
-from .numkit import BATCH_FLOATS, GaussianStream, as_matrix, chol_batch, is_int
+from .numkit import BATCH_FLOATS, GaussianStream, as_matrix, chol_batch, is_int, ordered_map
 
 __all__ = [
     "NetworkConfig",
@@ -30,10 +29,6 @@ __all__ = [
 
 NONLINEARITIES = ("erf", "relu", "identity")
 PARAMETRISATIONS = ("standard", "ntk")
-
-# Floats per array held by all prior-draw batches in flight together (32 MB);
-# at the default batch size more batches fit than there are cores.
-_IN_FLIGHT_FLOATS = 4_000_000
 
 
 def nonlinearity_fn(name: str):
@@ -273,14 +268,13 @@ def prior_function_draws(
     The returned array has shape ``(n_draws, n_points, output_dim)`` and is
     equal in distribution to ``forward(sample_prior(...), config, x)``.
 
-    Draws are made ``batch_size`` at a time; batch k takes all of its normals
-    from substream k of ``stream.split(n_batches)`` and writes its own rows
-    of the result. The default ``batch_size`` holds about 2**17 floats (1 MB)
-    per array, 13 draws at width 1000 on 10 points. The batches run on a
-    thread pool of at most the available cores, and no more batches at once
-    than fit a budget of 4M floats per array; when only one batch can run at
-    a time, they run on the calling thread. The result is deterministic given
-    ``(stream, batch_size)`` and independent of the number of threads.
+    Draw i takes its normals, layer by layer, from substream ``s + i`` of the
+    stream's key, ``s = stream.fresh_substream()``, and the stream is left at
+    substream ``s + n_draws``: the result is deterministic given the stream,
+    whatever ``batch_size`` and the core count. Draws are made ``batch_size``
+    at a time, by default about 2**17 floats (1 MB) per array, 13 draws at
+    width 1000 on 10 points, through :func:`numkit.ordered_map` on at most
+    the available cores, so a call of one batch runs on the calling thread.
     """
     pts = as_matrix(x, "X")
     if pts.shape[1] != config.input_dim:
@@ -290,41 +284,35 @@ def prior_function_draws(
     if not is_int(n_draws) or n_draws < 0:
         raise ValueError(f"n_draws must be an integer >= 0, got {n_draws!r}")
     m = pts.shape[0]
-    d = config.hidden_width
     if batch_size is None:
-        batch_size = max(1, BATCH_FLOATS // max(d * m, 1))
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+        batch_size = max(1, BATCH_FLOATS // max(config.hidden_width * m, 1))
+    if not is_int(batch_size) or batch_size < 1:
+        raise ValueError("batch_size must be an integer >= 1")
 
     out = np.empty((n_draws, m, config.output_dim))
-    starts = range(0, n_draws, batch_size)
-    batches = list(zip(starts, stream.split(len(starts))))
+    first = stream.fresh_substream()
 
-    def draw(lo, sub):
-        b = min(batch_size, n_draws - lo)
-        normals = (sub.normal(b * r * m).reshape(b, r, m) for r in config.layer_dims[1:])
-        for f in sample_layers(config, pts, normals):
+    def draw(lo):
+        subs = [GaussianStream(stream.seed) for _ in range(min(batch_size, n_draws - lo))]
+        for i, sub in enumerate(subs, first + lo):
+            sub.rekey(stream.stream_id, i)
+        def normals():
+            # One layer at a time: whole rows held at once page-fault per batch.
+            for r in config.layer_dims[1:]:
+                e = np.empty((len(subs), r, m))
+                for row, sub in zip(e, subs):
+                    sub.normal(r * m, out=row.reshape(-1))
+                yield e
+        for f in sample_layers(config, pts, normals()):
             pass
-        out[lo:lo + b] = np.swapaxes(f, 1, 2)
+        out[lo:lo + len(subs)] = np.swapaxes(f, 1, 2)
 
-    # Each batch in flight holds a few arrays of this many floats.
-    batch_floats = batch_size * max(d, config.output_dim) * m
-    in_flight = max(1, _IN_FLIGHT_FLOATS // batch_floats)
-    workers = min(_available_cores(), len(batches), in_flight)
-    if workers <= 1:
-        # On the calling thread, so that a call that fits one batch makes no
-        # pool thread and no glibc malloc arena of its own.
-        for lo, sub in batches:
-            draw(lo, sub)
-        return out
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(draw, lo, sub) for lo, sub in batches]
-        try:
-            for fut in futures:
-                fut.result()
-        except BaseException:
-            ex.shutdown(cancel_futures=True)
-            raise
+    starts = range(0, n_draws, batch_size)
+    # One batch runs on the calling thread, so that it makes no pool thread
+    # and no glibc malloc arena of its own.
+    for _ in ordered_map(draw, starts, min(_available_cores(), len(starts))):
+        pass
+    stream.rekey(stream.stream_id, first + n_draws)
     return out
 
 

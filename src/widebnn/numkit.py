@@ -1,10 +1,10 @@
-"""Dense symmetric linear algebra and reproducible Gaussian streams.
+"""Dense symmetric linear algebra, reproducible Gaussian streams, one ordered pool.
 
 Everything downstream works with plain float64 ``numpy`` arrays; the helpers
 here add the validation, jitter and error policy the rest of the package
-relies on. Random numbers come from keyed Philox streams so that any
-(seed, stream_id) pair reproduces the same sequence regardless of thread
-scheduling.
+relies on. Every random number comes from a Philox stream at a key
+(seed, stream_id) and a substream (:meth:`GaussianStream.rekey`), so it
+depends on its position, never on which :func:`ordered_map` thread draws it.
 
 Every Cholesky factorisation in the package happens here, by one of two
 routes. :func:`cholesky` serves the closed forms (kernel posteriors, linear
@@ -21,7 +21,8 @@ singular covariance that a distance must reject would factor.
 
 from __future__ import annotations
 
-import copy
+import collections
+import concurrent.futures
 
 import numpy as np
 
@@ -37,15 +38,16 @@ __all__ = [
     "clip_psd",
     "check_symmetric",
     "GaussianStream",
+    "ordered_map",
 ]
 
 _SYM_RTOL = 1e-12
 _JITTER_REL = 1e-10
 _SAMPLE_JITTER = 1e-12
 _PSD_TOL = 1e-10
-_PHILOX_ZERO_BLOCK = (0, 0, 0, 0)  # one 4x64-bit Philox counter block
 # Floats per array in one batch of prior draws or of sampler proposals (1 MB).
 BATCH_FLOATS = 1 << 17
+_ZERO_SEED = np.random.SeedSequence(0)  # hashed once, not once per stream
 
 
 def is_int(value) -> bool:
@@ -187,70 +189,71 @@ class GaussianStream:
     Backed by the counter-based Philox generator, so distinct stream ids give
     statistically independent sequences and the output never depends on which
     thread consumes the stream. Consecutive :meth:`normal` calls continue the
-    same sequence.
+    same sequence. A key holds 2**128 substreams of 2**128 Philox blocks each
+    (Salmon et al., "Random123", SC'11).
     """
 
-    __slots__ = ("seed", "stream_id", "_path", "_gen")
+    __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         # A fixed seed only builds the generator (no OS entropy is drawn);
         # rekey then sets its whole state.
-        self._gen = np.random.Generator(np.random.Philox(0))
+        self._gen = np.random.Generator(np.random.Philox(_ZERO_SEED))
         self.rekey(stream_id)
 
-    def rekey(self, stream_id: int) -> None:
-        """Restart this stream as ``GaussianStream(self.seed, stream_id)``.
+    def rekey(self, stream_id: int, substream: int = 0) -> None:
+        """Restart this stream at ``substream`` of the key ``(seed, stream_id)``.
 
-        Sets the Philox key to ``(seed, stream_id)`` modulo 2**64, the
-        counter to 0 and the buffer to empty, which is the state a freshly
-        keyed Philox starts in, so the numbers drawn afterwards are the same
-        bit for bit. Much cheaper than building a new generator.
+        Sets the Philox key to ``(seed, stream_id)`` modulo 2**64, the counter
+        to ``(0, 0, substream, 0)`` (carrying into the last word from 2**64)
+        and the buffer to empty; substream 0 starts as a fresh
+        ``GaussianStream(self.seed, stream_id)``. Cheaper than a new generator.
         """
         self.stream_id = int(stream_id)
-        self._path = ()
+        k = int(substream) % (1 << 128)
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {
-                "counter": _PHILOX_ZERO_BLOCK,
+                "counter": (0, 0, k % (1 << 64), k >> 64),
                 "key": (self.seed % (1 << 64), self.stream_id % (1 << 64)),
             },
-            "buffer": _PHILOX_ZERO_BLOCK,
-            "buffer_pos": len(_PHILOX_ZERO_BLOCK),  # buffer used up
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # all four words of the buffer used up
             "has_uint32": 0,
             "uinteger": 0,
         }
+
+    def fresh_substream(self) -> int:
+        """The first substream of this key with nothing drawn from it yet."""
+        c0, c1, c2, c3 = map(int, self._gen.bit_generator.state["state"]["counter"])
+        return c2 + (c3 << 64) + (c0 > 0 or c1 > 0)
 
     def normal(self, count: int, out: np.ndarray = None) -> np.ndarray:
         """Draw ``count`` standard normal float64 values, into ``out`` if
         given (a float64 array of ``count`` elements), and return them."""
         return self._gen.standard_normal(int(count), out=out)
 
-    def split(self, count: int) -> list:
-        """``count`` independent substreams, then move this stream past them.
-
-        Substream 0 is a copy of this stream, so it continues this stream's
-        sequence exactly. Substream k >= 1 starts at the Philox block
-        ``k * 2**128`` blocks past this stream's current one (a Philox jump,
-        as in Salmon et al., "Random123", SC'11). Each substream depends only
-        on this stream's state and k. Afterwards this stream starts at the
-        block ``count * 2**128`` past its old one, so later draws from it
-        repeat none of the substreams' numbers.
-        """
-        bits = self._gen.bit_generator
-        subs = []
-        for k in range(int(count)):
-            sub = GaussianStream.__new__(GaussianStream)
-            sub.seed, sub.stream_id = self.seed, self.stream_id
-            sub._path = self._path + (k,)
-            if k == 0:
-                sub._gen = copy.deepcopy(self._gen)
-            else:
-                sub._gen = np.random.Generator(bits.jumped(k))
-            subs.append(sub)
-        bits.advance(int(count) << 128)
-        return subs
-
     def __repr__(self) -> str:
-        sub = f", substream={self._path}" if self._path else ""
-        return f"GaussianStream(seed={self.seed}, stream_id={self.stream_id}{sub})"
+        return f"GaussianStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def ordered_map(fn, items, workers: int):
+    """Yield ``fn(item)`` for each of ``items``, in order: on the calling
+    thread if ``workers <= 1``, else on that many threads with at most
+    ``2 * workers`` calls submitted ahead; a failure cancels the queued ones."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with concurrent.futures.ThreadPoolExecutor(workers) as ex:
+        ahead = collections.deque()
+        try:
+            for item in items:
+                ahead.append(ex.submit(fn, item))
+                if len(ahead) == 2 * workers:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
+        except BaseException:
+            ex.shutdown(cancel_futures=True)
+            raise

@@ -52,8 +52,6 @@ be the faster one at small widths.
 
 from __future__ import annotations
 
-import collections
-import concurrent.futures
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -64,7 +62,7 @@ from .errors import DimensionMismatch, InsufficientSamples
 from .likelihood import LikelihoodSpec, log_likelihood_batch
 from .network import NetworkConfig, _split_flat, forward, reparametrise, sample_layers
 from .numkit import BATCH_FLOATS as _BATCH_BUDGET  # doubles held per gather batch
-from .numkit import GaussianStream, as_matrix, is_int
+from .numkit import GaussianStream, as_matrix, is_int, ordered_map
 
 __all__ = [
     "MomentAccumulator",
@@ -396,29 +394,12 @@ def rejection_sample(
         hi = min(lo + chunk_size, n_proposals)
         return runner(config, train_x, train_y, likelihood, eval_x, seed, lo, hi, *extra)
 
-    def results():  # each chunk's result in ascending order
-        los = range(0, n_proposals, chunk_size)
-        if workers == 1:
-            yield from map(run, los)
-            return
-        with concurrent.futures.ThreadPoolExecutor(workers) as ex:
-            ahead = collections.deque()
-            try:
-                for lo in los:
-                    ahead.append(ex.submit(run, lo))
-                    if len(ahead) == 2 * workers:
-                        yield ahead.popleft().result()
-                while ahead:
-                    yield ahead.popleft().result()
-            except BaseException:
-                ex.shutdown(cancel_futures=True)
-                raise
-
     acc = MomentAccumulator.zeros(eval_x.shape[0] * config.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
     lik_acc = MomentAccumulator.zeros(1)
     # Each chunk is merged as it arrives, in ascending chunk order.
-    for chunk_acc, chunk_pstats, chunk_lik in results():
+    for chunk_acc, chunk_pstats, chunk_lik in ordered_map(
+            run, range(0, n_proposals, chunk_size), workers):
         acc.merge_in(chunk_acc)
         lik_acc.merge_in(chunk_lik)
         if pstats is not None:

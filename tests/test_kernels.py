@@ -129,6 +129,18 @@ class TestNtkKernel:
         assert np.allclose(pair.Theta, theta)
 
 
+def test_nngp_is_the_ntk_recursions_k():
+    rng = np.random.default_rng(7)
+    point_sets = [(rng.standard_normal((5, 2)), rng.standard_normal((3, 2))),
+                  (np.linspace(-3.0, 3.0, 8).reshape(4, 2), np.eye(2))]
+    for nonlinearity in ("erf", "relu", "identity"):
+        for depth in range(4):
+            cfg = NetworkConfig(depth=depth, input_dim=2, output_dim=1, hidden_width=1,
+                                nonlinearity=nonlinearity)
+            for x1, x2 in point_sets:
+                assert np.array_equal(nngp_kernel(cfg, x1, x2), ntk_kernel(cfg, x1, x2).K)
+
+
 class TestGpPosterior:
     def k_fn(self, a, b):
         return np.exp(-0.5 * (a[:, None, 0] - b[None, :, 0]) ** 2)

@@ -167,23 +167,6 @@ class TestPriorFunctionDraws:
         a = np.frombuffer(default).reshape(50, 3, 2)
         assert not np.array_equal(a[:7], a[7:14])  # batches use distinct substreams
 
-    def test_batches_in_flight_fit_the_memory_budget(self, monkeypatch):
-        # Batches of 2M floats per array: two fit the budget, however many cores.
-        sizes = []
-        real = concurrent.futures.ThreadPoolExecutor
-
-        def recording(max_workers):
-            sizes.append(max_workers)
-            return real(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
-        monkeypatch.setattr(network, "_available_cores", lambda: 64)
-        cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=100)
-        x = np.linspace(-1.0, 1.0, 10)[:, None]
-        prior_function_draws(cfg, x, 5000, GaussianStream(2, 0), batch_size=2000)
-        prior_function_draws(cfg, x, 5000, GaussianStream(2, 0), batch_size=500)
-        assert sizes == [2, 8]
-
     def test_stream_moves_past_its_batches(self):
         cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)
         x = np.array([[0.5], [-0.25]])
@@ -258,6 +241,62 @@ class TestPriorFunctionDraws:
         x = np.linspace(-1.0, 1.0, 10)[:, None]
         prior_function_draws(cfg, x, 13, GaussianStream(4, 0))
         assert batches == [1] and pools == []
+
+    def test_identical_across_batch_sizes_and_core_counts(self, monkeypatch):
+        # Default batches hold 13 draws at width 1000 on 10 points.
+        cfg = NetworkConfig(depth=2, input_dim=1, output_dim=1, hidden_width=1000)
+        x = np.linspace(-1.0, 1.0, 10)[:, None]
+        draws = set()
+        for cores in (1, 2, 64):
+            monkeypatch.setattr(network, "_available_cores", lambda: cores)
+            for batch_size in (1, 7, 13, None):
+                draws.add(prior_function_draws(cfg, x, 30, GaussianStream(4, 2),
+                                               batch_size=batch_size).tobytes())
+        assert len(draws) == 1
+
+    def test_draw_i_takes_substream_i(self):
+        cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)
+        x = np.array([[0.5], [-0.25]])
+        s = GaussianStream(3, 7)
+        draws = prior_function_draws(cfg, x, 5, s)
+        assert s.fresh_substream() == 5
+        one = GaussianStream(3, 7)
+        one.rekey(7, substream=3)
+        assert np.array_equal(draws[3:4], prior_function_draws(cfg, x, 1, one))
+        assert np.array_equal(prior_function_draws(cfg, x, 2, s),
+                              prior_function_draws(cfg, x, 7, GaussianStream(3, 7))[5:])
+
+    def test_at_most_two_batches_per_worker_are_submitted_ahead(self, monkeypatch):
+        state = {"submitted": 0, "consumed": 0, "most": 0}
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                state["submitted"] += 1
+                state["most"] = max(state["most"], state["submitted"] - state["consumed"])
+                future = super().submit(fn, *args, **kwargs)
+                result = future.result
+
+                def consume(*a, **kw):
+                    state["consumed"] += 1
+                    return result(*a, **kw)
+
+                future.result = consume
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(network, "_available_cores", lambda: 2)
+        cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)
+        x = np.array([[0.5], [-0.25]])
+        prior_function_draws(cfg, x, 40, GaussianStream(1, 0), batch_size=1)
+        assert state["submitted"] == 40
+        assert state["most"] <= 2 * 2
+
+    @pytest.mark.parametrize("batch_size", [True, 2.5, np.float64(3.0), 0, -1])
+    def test_batch_size_must_be_a_positive_integer(self, batch_size):
+        cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
+            prior_function_draws(cfg, np.array([[0.5]]), 5, GaussianStream(1, 0),
+                                 batch_size=batch_size)
 
     @pytest.mark.parametrize("n_draws", [-1, 2.5, True, np.float64(3.0)])
     def test_n_draws_must_be_a_nonnegative_integer(self, n_draws):

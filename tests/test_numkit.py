@@ -1,3 +1,4 @@
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from widebnn.numkit import (
     as_matrix,
     chol_batch,
     cholesky,
+    ordered_map,
     solve_spd,
     sym_sqrt,
 )
@@ -142,29 +144,6 @@ class TestGaussianStream:
         both = GaussianStream(5, 5).normal(20)
         assert np.array_equal(np.concatenate([first, second]), both)
 
-    def test_split_is_keyed_by_position(self):
-        s = GaussianStream(5, 5)
-        subs = [t.normal(10) for t in s.split(3)]
-        again = [t.normal(10) for t in GaussianStream(5, 5).split(3)]
-        assert all(np.array_equal(a, b) for a, b in zip(subs, again))
-        # Substream 0 continues the parent's sequence; the others are fresh.
-        assert np.array_equal(subs[0], GaussianStream(5, 5).normal(10))
-        assert not np.array_equal(subs[1], subs[2])
-        # The parent moves past all three substreams.
-        after = s.normal(10)
-        assert not any(np.array_equal(after, a) for a in subs)
-        assert np.array_equal(after, GaussianStream(5, 5).split(4)[3].normal(10))
-
-    def test_split_after_a_partial_block(self):
-        # Three normals leave part of a Philox block buffered in the parent.
-        s = GaussianStream(5, 5)
-        head = s.normal(3)
-        subs = s.split(2)
-        both = GaussianStream(5, 5).normal(13)
-        assert np.array_equal(np.concatenate([head, subs[0].normal(10)]), both)
-        assert repr(subs[1]) == "GaussianStream(seed=5, stream_id=5, substream=(1,))"
-        assert repr(subs[1].split(1)[0]).endswith("substream=(1, 0))")
-
     @pytest.mark.parametrize("stream_id", [0, 2**40, 2**63 + 5, -7])
     def test_rekey_matches_a_fresh_stream(self, stream_id):
         s = GaussianStream(42, 3)
@@ -175,12 +154,31 @@ class TestGaussianStream:
             assert np.array_equal(s.normal(count),
                                   GaussianStream(42, stream_id).normal(count))
 
-    def test_rekey_a_substream(self):
-        sub = GaussianStream(5, 5).split(3)[2]
-        sub.normal(7)
-        sub.rekey(11)
-        assert repr(sub) == "GaussianStream(seed=5, stream_id=11)"
-        assert np.array_equal(sub.normal(1000), GaussianStream(5, 11).normal(1000))
+    @pytest.mark.parametrize("substream", [0, 3, 2**64 + 1])
+    def test_rekey_a_substream_matches_a_reference_philox(self, substream):
+        s = GaussianStream(42, 3)
+        s.normal(3)  # leave a partial Philox block buffered
+        s.rekey(2**63 + 5, substream=substream)
+        bits = np.random.Philox(0)
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, substream % 2**64, substream >> 64],
+                      "key": [42, 2**63 + 5]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        want = np.random.Generator(bits).standard_normal(1000)
+        assert np.array_equal(s.normal(1000), want)
+        # The substream starts where a Philox jump by ``substream`` lands.
+        jumped = np.random.Philox(key=42 + ((2**63 + 5) << 64)).jumped(substream)
+        assert np.array_equal(np.random.Generator(jumped).standard_normal(1000), want)
+
+    def test_fresh_substream(self):
+        s = GaussianStream(5, 5)
+        assert s.fresh_substream() == 0
+        s.rekey(5, substream=2**64 + 3)
+        assert s.fresh_substream() == 2**64 + 3
+        s.normal(1)  # substream 2**64 + 3 is no longer fresh
+        assert s.fresh_substream() == 2**64 + 4
 
     def test_normal_into_out(self):
         out = np.full(9, np.nan)
@@ -192,3 +190,27 @@ class TestGaussianStream:
         z = GaussianStream(9, 0).normal(200_000)
         assert abs(z.mean()) < 0.01
         assert abs(z.var() - 1.0) < 0.02
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_order(self, workers):
+        assert list(ordered_map(lambda i: i * i, range(20), workers)) == [
+            i * i for i in range(20)]
+
+    def test_one_worker_runs_on_the_calling_thread(self):
+        threads = set(ordered_map(lambda _: threading.get_ident(), range(5), 1))
+        assert threads == {threading.get_ident()}
+
+    def test_failure_reaches_the_caller_and_cancels_queued_calls(self):
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i == 3:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            list(ordered_map(fn, range(1000), 2))
+        assert len(started) < 1000
