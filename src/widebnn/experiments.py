@@ -172,6 +172,8 @@ class SweepRow:
     rf_cov_nngp: Optional[float]
     rf_mean_ntk: Optional[float]
     rf_cov_ntk: Optional[float]
+    mean_likelihood: Optional[float]
+    mean_likelihood_se: Optional[float]
     wall_seconds: float
 
 
@@ -193,25 +195,18 @@ def width_sweep(config: ExperimentConfig) -> List[SweepRow]:
             config.n_proposals, config.seed, workers=config.workers,
         )
         wall = time.perf_counter() - t0
-        if not report.moments_valid:
-            rows.append(SweepRow(width, report.proposals, report.accepts,
-                                 None, None, None, None, wall))
-            continue
-        k_fn = lambda a, b: nngp_kernel(cfg, a, b)  # noqa: E731
-        nngp = gp_posterior(k_fn, train_x, train_y, sigma2, test_x)
-        ntk = ntk_posterior(cfg, train_x, train_y, sigma2, test_x)
-        rows.append(SweepRow(
-            width=width,
-            proposals=report.proposals,
-            accepts=report.accepts,
-            rf_mean_nngp=rel_frobenius(report.posterior_mean[:, None],
-                                       nngp.mean[:, None]),
-            rf_cov_nngp=rel_frobenius(report.posterior_cov, nngp.cov),
-            rf_mean_ntk=rel_frobenius(report.posterior_mean[:, None],
-                                      ntk.mean[:, None]),
-            rf_cov_ntk=rel_frobenius(report.posterior_cov, ntk.cov),
-            wall_seconds=wall,
-        ))
+        dists = (None,) * 4
+        if report.moments_valid:
+            k_fn = lambda a, b: nngp_kernel(cfg, a, b)  # noqa: E731
+            nngp = gp_posterior(k_fn, train_x, train_y, sigma2, test_x)
+            ntk = ntk_posterior(cfg, train_x, train_y, sigma2, test_x)
+            mean = report.posterior_mean[:, None]
+            dists = (rel_frobenius(mean, nngp.mean[:, None]),
+                     rel_frobenius(report.posterior_cov, nngp.cov),
+                     rel_frobenius(mean, ntk.mean[:, None]),
+                     rel_frobenius(report.posterior_cov, ntk.cov))
+        rows.append(SweepRow(width, report.proposals, report.accepts, *dists,
+                             report.mean_likelihood, report.mean_likelihood_se, wall))
     return rows
 
 
@@ -228,11 +223,12 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["width", "proposals", "accepts", "rf_mean_nngp",
                          "rf_cov_nngp", "rf_mean_ntk", "rf_cov_ntk",
-                         "wall_seconds"])
+                         "mean_likelihood", "mean_likelihood_se", "wall_seconds"])
         for r in rows:
             writer.writerow([_fmt(r.width), _fmt(r.proposals), _fmt(r.accepts),
                              _fmt(r.rf_mean_nngp), _fmt(r.rf_cov_nngp),
                              _fmt(r.rf_mean_ntk), _fmt(r.rf_cov_ntk),
+                             _fmt(r.mean_likelihood), _fmt(r.mean_likelihood_se),
                              _fmt(r.wall_seconds)])
 
 

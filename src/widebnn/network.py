@@ -7,8 +7,9 @@ materialising weight matrices for very wide networks.
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -74,19 +75,23 @@ class NetworkConfig:
         if self.parametrisation not in PARAMETRISATIONS:
             raise ValueError(f"parametrisation must be one of {PARAMETRISATIONS}")
 
-    @property
+    # Computed once per config; a frozen dataclass without __slots__ allows it.
+    @functools.cached_property
     def layer_dims(self) -> List[int]:
         """Unit counts per layer, input through output."""
         return [self.input_dim] + [self.hidden_width] * self.depth + [self.output_dim]
 
-    @property
+    @functools.cached_property
     def layer_shapes(self) -> List[tuple]:
         dims = self.layer_dims
         return [(dims[l + 1], dims[l]) for l in range(len(dims) - 1)]
 
-    @property
+    @functools.cached_property
     def n_params(self) -> int:
         return sum(o * i + o for (o, i) in self.layer_shapes)
+
+    def __getstate__(self):  # the fields only, not the cached shapes
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def with_width(self, width: int) -> "NetworkConfig":
         return replace(self, hidden_width=width)
@@ -163,11 +168,17 @@ def forward(params: ParameterSet, config: NetworkConfig, x) -> np.ndarray:
             )
         if l > 0:
             h = phi(h)
-        w_t, b = np.swapaxes(w, -1, -2), b[..., None, :]
-        if ntk:
-            h = (config.sigma_w / np.sqrt(dims[l])) * (h @ w_t) + config.sigma_b * b
+        if h.ndim == 2 and w.ndim > 2:  # inputs shared by every set: one GEMM
+            prod = (w.reshape(-1, dims[l]) @ h.T).reshape(w.shape[:-1] + (-1,))
+            prod = np.swapaxes(prod, -1, -2)
         else:
-            h = h @ w_t + b
+            prod = h @ np.swapaxes(w, -1, -2)
+        b = b[..., None, :]
+        if ntk:
+            prod *= config.sigma_w / np.sqrt(dims[l])
+            h = prod + config.sigma_b * b
+        else:
+            h = prod + b
     return h
 
 

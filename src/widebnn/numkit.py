@@ -62,7 +62,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         m = m[:, None]
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN or Inf")
     return m
 

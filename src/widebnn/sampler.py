@@ -12,7 +12,8 @@ normal mapped through the standard normal CDF to give the acceptance
 uniform. An accepted proposal i of function
 mode draws its eval-point normals from ``GaussianStream(seed, 2**63 + i)``, a
 key space apart from the block ids and from ``experiments.DATASET_STREAM_ID``
-(2**62). Acceptance happens in log space (``log u < log likelihood``).
+(2**62). The accept test ``log u < log likelihood`` runs in linear space
+first and leaves near ties to ``log_ndtr`` (:func:`_accepted`).
 By default proposals run in chunks of whole blocks of about
 ``numkit.BATCH_FLOATS`` normals, merged in ascending order, so results are
 invariant to the worker count; a chunk that starts inside a block draws and
@@ -75,6 +76,8 @@ __all__ = [
 
 _BLOCK = 64  # proposals per Philox key at 64 or more normals per proposal
 _EVAL_KEYS = 1 << 63  # eval-point stream of proposal i: key _EVAL_KEYS + i
+_MARGIN = 1e-9  # relative gap of u and ell below which the log test decides
+_TINY = 1e-290  # u or ell below this is decided by the log test
 
 
 @dataclass
@@ -112,7 +115,7 @@ class MomentAccumulator:
             raise DimensionMismatch("sample dimension does not match accumulator")
         if x.shape[0] == 0:
             return
-        mean = x.mean(axis=0)
+        mean = x.sum(axis=0) / x.shape[0]  # np.mean's bits, without its wrapper
         centred = x - mean
         scatter = centred.T @ centred
         # Averaging with the transpose makes the block scatter exactly
@@ -249,6 +252,19 @@ def _normals_per_proposal(config: NetworkConfig, m_train: int, mode: str) -> int
     return sum(config.layer_dims[1:]) * m_train + 1
 
 
+def _accepted(z: np.ndarray, logl: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """Indices of the proposals with ``log_ndtr(z) < logl``; ``ell = exp(logl)``.
+    ``u = ndtr(z)`` and ``ell`` err by a few ulps from ``_TINY`` up, far below
+    ``_MARGIN``, so outside the margin ``u < ell`` is the log-space decision;
+    near ties and tiny values go to ``log_ndtr``."""
+    u = scipy.special.ndtr(z)
+    hit = u < ell
+    near = (np.abs(u - ell) <= _MARGIN * ell) | (u < _TINY) | (ell < _TINY)
+    if near.any():
+        hit[near] = scipy.special.log_ndtr(z[near]) < logl[near]
+    return np.nonzero(hit)[0]
+
+
 def _slices(hit: np.ndarray, floats: int):
     """Cut the accepted rows ``hit`` into slices whose arrays hold at most
     ``_BATCH_BUDGET`` floats at ``floats`` per proposal (one row if larger)."""
@@ -270,9 +286,9 @@ def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
                         _normals_per_proposal(config, train_x.shape[0], "parameter")):
         outs = forward(_split_flat(z[:, :n_par], ntk), ntk, train_x)
         logl = log_likelihood_batch(lik, outs, train_y)
-        lik_acc.update_block(np.exp(logl)[:, None])
-        log_u = scipy.special.log_ndtr(z[:, n_par])
-        for part in _slices(np.nonzero(log_u < logl)[0], per_accept):
+        ell = np.exp(logl)
+        lik_acc.update_block(ell[:, None])
+        for part in _slices(_accepted(z[:, n_par], logl, ell), per_accept):
             f_eval = forward(_split_flat(z[part, :n_par], ntk), ntk, eval_x)
             acc.update_block(f_eval.reshape(part.size, -1))
             if pstats is not None:
@@ -301,9 +317,9 @@ def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi):
         train_layers = list(sample_layers(config, train_x, _layer_normals(z, config, mt)))
         outs = np.swapaxes(train_layers[-1], 1, 2)  # (b, m_t, p)
         logl = log_likelihood_batch(lik, outs, train_y)
-        lik_acc.update_block(np.exp(logl)[:, None])
-        log_u = scipy.special.log_ndtr(z[:, -1])
-        for part in _slices(np.nonzero(log_u < logl)[0], per_accept):
+        ell = np.exp(logl)
+        lik_acc.update_block(ell[:, None])
+        for part in _slices(_accepted(z[:, -1], logl, ell), per_accept):
             z_eval = np.empty((part.size, eval_total))
             for j, local in enumerate(part):
                 stream.rekey(_EVAL_KEYS + pos + int(local))

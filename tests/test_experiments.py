@@ -199,6 +199,36 @@ class TestWidthSweep:
             assert a.rf_mean_nngp == b.rf_mean_nngp
             assert a.rf_cov_nngp == b.rf_cov_nngp
 
+    def test_mean_likelihood_columns_worker_invariant(self, tmp_path):
+        doc = base_doc(likelihood={"kind": "gaussian", "sigma2": 0.5},
+                       n_proposals=3000)
+        texts = []
+        for workers in (1, 8):
+            rows = width_sweep(config_from_dict({**doc, "workers": workers}))
+            out = tmp_path / f"sweep{workers}.csv"
+            write_sweep_csv(rows, str(out))
+            with open(out) as fh:
+                got = list(csv.reader(fh))
+            assert got[0][-3:] == ["mean_likelihood", "mean_likelihood_se", "wall_seconds"]
+            texts.append([row[-3:-1] for row in got[1:]])
+            assert all(r.mean_likelihood > 0 and r.mean_likelihood_se > 0 for r in rows)
+        assert texts[0] == texts[1]
+
+    def test_mean_likelihood_present_without_moments(self, tmp_path):
+        cfg = config_from_dict(base_doc(likelihood={"kind": "gaussian", "sigma2": 1e-12},
+                                        n_proposals=50))
+        rows = width_sweep(cfg)
+        out = tmp_path / "sweep.csv"
+        write_sweep_csv(rows, str(out))
+        with open(out) as fh:
+            got = list(csv.DictReader(fh))
+        for r, line in zip(rows, got):
+            assert r.accepts == 0 and r.rf_cov_nngp is None
+            assert r.mean_likelihood is not None and r.mean_likelihood_se is not None
+            assert line["rf_cov_nngp"] == ""
+            assert float(line["mean_likelihood"]) == r.mean_likelihood
+            assert float(line["mean_likelihood_se"]) == r.mean_likelihood_se
+
 
 class TestLinregRatesCsv:
     def test_columns_identities_and_footer(self, tmp_path):

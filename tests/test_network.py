@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import pickle
 import threading
 
 import numpy as np
@@ -52,6 +53,30 @@ class TestConfig:
         cfg = small_config().with_width(17)
         assert cfg.hidden_width == 17
         assert cfg.depth == small_config().depth
+
+    def test_cached_shapes_are_fresh_per_config(self):
+        cfg = small_config()
+        assert cfg.n_params == 62 and cfg.layer_dims == [3, 5, 5, 2]
+        wide = cfg.with_width(17)
+        assert wide.layer_dims == [3, 17, 17, 2]
+        assert wide.layer_shapes == [(17, 3), (17, 17), (2, 17)]
+        assert wide.n_params == (17 * 3 + 17) + (17 * 17 + 17) + (2 * 17 + 2)
+        deep = dataclasses.replace(cfg, depth=0, input_dim=4)
+        assert deep.layer_dims == [4, 2]
+        assert deep.layer_shapes == [(2, 4)]
+        assert deep.n_params == 10
+        assert cfg.layer_dims == [3, 5, 5, 2] and cfg.n_params == 62
+
+    def test_cached_shapes_leave_equality_hash_and_pickle_alone(self):
+        used, fresh = small_config(), small_config()
+        assert used.n_params == 62 and used.layer_shapes[0] == (5, 3)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == used and hash(back) == hash(used)
+        assert back.layer_dims == [3, 5, 5, 2] and back.n_params == 62
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            used.depth = 3
 
 
 class TestSamplePrior:
@@ -116,6 +141,29 @@ class TestForward:
             p = sample_prior(cfg, GaussianStream(11, 4))
             outs[par] = forward(p, cfg, x)
         assert np.allclose(outs["standard"], outs["ntk"])
+
+
+class TestBatchedForward:
+    """A stack of parameter sets runs its shared-input first layer as one
+    matrix product; it must equal one ``forward`` call per set."""
+
+    @pytest.mark.parametrize("parametrisation", ["standard", "ntk"])
+    @pytest.mark.parametrize("sigma_b", [0.0, 0.4])
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("input_dim", [1, 3])
+    def test_matches_one_set_at_a_time(self, parametrisation, sigma_b, depth, input_dim):
+        cfg = NetworkConfig(depth=depth, input_dim=input_dim, output_dim=2, hidden_width=7,
+                            sigma_b=sigma_b, parametrisation=parametrisation)
+        rng = np.random.default_rng(depth * 10 + input_dim)
+        flat = rng.standard_normal((9, cfg.n_params + 1))[:, :-1]  # strided, as in the sampler
+        x = rng.standard_normal((6, input_dim))
+        batched = forward(network._split_flat(flat, cfg), cfg, x)
+        stacked = np.stack([forward(network._split_flat(f, cfg), cfg, x) for f in flat])
+        assert batched.shape == (9, 6, 2)
+        if input_dim == 1:  # every layer-1 dot product has one term
+            assert np.array_equal(batched, stacked)
+        else:
+            np.testing.assert_allclose(batched, stacked, rtol=1e-14, atol=1e-14)
 
 
 class TestLayerCov:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 
 from widebnn import sampler
 from widebnn.errors import DimensionMismatch, InsufficientSamples
@@ -524,3 +525,57 @@ def test_mean_likelihood_is_reported_when_nothing_is_accepted():
     assert report.accepts == 0
     assert 0.0 < report.mean_likelihood < 1.0 / 200
     assert report.mean_likelihood_se > 0.0
+
+
+class TestAcceptTest:
+    """``sampler._accepted`` decides exactly as ``log_ndtr(z) < logl``."""
+
+    @staticmethod
+    def check(z, logl):
+        z, logl = np.broadcast_arrays(np.asarray(z, float), np.asarray(logl, float))
+        z, logl = z.ravel(), logl.ravel()
+        with np.errstate(over="ignore", under="ignore"):
+            got = sampler._accepted(z, logl, np.exp(logl))
+        want = np.nonzero(scipy.special.log_ndtr(z) < logl)[0]
+        assert np.array_equal(got, want)
+        return want.size
+
+    def test_threshold_and_its_ulp_neighbours(self):
+        logl = np.linspace(-700.0, 0.0, 20_001)
+        z = scipy.special.ndtri_exp(logl)
+        below, above = z.copy(), z.copy()
+        for k in range(1, 11):
+            below = np.nextafter(below, -np.inf)
+            above = np.nextafter(above, np.inf)
+            if k in (1, 2, 10):
+                self.check(below, logl)
+                self.check(above, logl)
+        self.check(z, logl)
+
+    def test_just_outside_the_linear_margin(self):
+        # u = ell (1 +- c 1e-9): decided in linear space for c > 1, near it.
+        logl = np.linspace(-660.0, -1e-6, 5_001)
+        for c in (0.5, 0.99, 1.01, 1.5, 2.0, 10.0):
+            for sign in (-1.0, 1.0):
+                self.check(scipy.special.ndtri_exp(logl + np.log1p(sign * c * 1e-9)), logl)
+
+    def test_exact_ties_reject(self):
+        z = np.linspace(-37.0, 8.0, 100_001)
+        assert self.check(z, scipy.special.log_ndtr(z)) == 0
+
+    def test_likelihood_one_subnormal_and_underflowed(self):
+        z = np.linspace(-45.0, 45.0, 90_001)
+        for logl in (0.0, -745.0, -800.0):
+            self.check(z, logl)
+
+    def test_extreme_normals(self):
+        logl = np.concatenate([-np.logspace(-20, 3, 2_001), [0.0, -np.inf]])
+        for z in (-40.0, -38.0, 38.0, 40.0):
+            self.check(z, logl)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(20261019)
+        n = 1_000_000
+        z = rng.standard_normal(n) * rng.choice([1.0, 3.0, 12.0], n)
+        logl = -rng.exponential(1.0, n) * rng.choice([1e-3, 1.0, 30.0, 700.0], n)
+        self.check(z, logl)
