@@ -21,6 +21,7 @@ from .errors import (
     MalformedTarget,
     NotPositiveDefinite,
     NotPSD,
+    RouteMismatch,
     SingularDistribution,
     WideBnnError,
     ZeroReference,
@@ -78,7 +79,7 @@ __version__ = "1.0.0"
 __all__ = [
     "WideBnnError", "DimensionMismatch", "NotPositiveDefinite", "NotPSD",
     "MalformedTarget", "InsufficientSamples", "ZeroReference",
-    "SingularDistribution", "BadRange", "ConfigError",
+    "SingularDistribution", "BadRange", "ConfigError", "RouteMismatch",
     "GaussianStream",
     "NetworkConfig", "ParameterSet", "sample_prior", "forward",
     "reparametrise", "prior_function_draws",

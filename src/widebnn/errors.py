@@ -41,3 +41,7 @@ class BadRange(WideBnnError):
 
 class ConfigError(WideBnnError):
     """Malformed experiment configuration."""
+
+
+class RouteMismatch(WideBnnError):
+    """Two routes to the same quantity disagree beyond their tolerance."""

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 import scipy.special
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, RouteMismatch
 from .kernels import GaussianPredictive
 from .metrics import GaussianDist, kl_gaussian, w2_gaussian
 from .numkit import GaussianStream, as_matrix, solve_spd
@@ -145,7 +145,8 @@ def rate_sweep(
     sweep runs in O(m^2 n) per grid point. For n up to ``dual_check_max_n``
     the squared W2 and the KL are recomputed through the general full-matrix
     routines in :mod:`widebnn.metrics` and must agree with the spectral
-    expansion within ``dual_check_tol``; full matrices at the top of the grid
+    expansion within ``dual_check_tol``, else :class:`RouteMismatch` is
+    raised; full matrices at the top of the grid
     would be too large to factor, so the dual route is capped.
     """
     n_grid = [int(n) for n in n_grid]
@@ -207,7 +208,7 @@ def _dual_check(x, y, mu, w2_sq, kl, w2_ntk_sq, kl_ntk, tol):
     n = x.shape[1]
     post = linreg_posterior(LinRegProblem(x, y))
     if not np.allclose(post.mean, mu, rtol=0, atol=1e-12):
-        raise AssertionError("posterior mean mismatch between routes")
+        raise RouteMismatch("posterior mean mismatch between routes")
     prior = GaussianDist(np.zeros(n), np.eye(n) / n)
     w2_full = w2_gaussian(post, prior)
     kl_full = kl_gaussian(post, prior)
@@ -222,7 +223,7 @@ def _dual_check(x, y, mu, w2_sq, kl, w2_ntk_sq, kl_ntk, tol):
         (kl_ntk_full, kl_ntk, "kl_ntk"),
     ]:
         if abs(got - want) > tol * max(1.0, abs(want)):
-            raise AssertionError(
+            raise RouteMismatch(
                 f"{label}: spectral route {want!r} vs general route {got!r}"
             )
 

@@ -1,14 +1,17 @@
 """Finite-width fully connected Bayesian network.
 
 Configuration, prior sampling under the standard and NTK parametrisations,
-forward evaluation, and an exact function-space prior sampler that avoids
-materialising weight matrices for very wide networks.
+forward evaluation, and an exact layer-by-layer prior sampler that avoids
+materialising weight matrices for very wide networks: a layer with no more
+weights per unit than points is drawn in weight space, any other in
+function space.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -33,12 +36,14 @@ PARAMETRISATIONS = ("standard", "ntk")
 
 
 def nonlinearity_fn(name: str):
+    """The elementwise nonlinearity ``name``, called as ``phi(x)`` or, to
+    write into an existing array, ``phi(x, out=...)``."""
     if name == "erf":
         return scipy.special.erf
     if name == "relu":
-        return lambda x: np.maximum(x, 0.0)
+        return lambda x, out=None: np.maximum(x, 0.0, out=out)
     if name == "identity":
-        return lambda x: x
+        return lambda x, out=None: np.positive(x, out=out)
     raise ValueError(f"unknown nonlinearity {name!r}")
 
 
@@ -168,17 +173,20 @@ def forward(params: ParameterSet, config: NetworkConfig, x) -> np.ndarray:
             )
         if l > 0:
             h = phi(h)
-        if h.ndim == 2 and w.ndim > 2:  # inputs shared by every set: one GEMM
+        shared = h.ndim == 2 and w.ndim > 2
+        if shared:  # inputs shared by every set: one GEMM, (..., out, points)
             prod = (w.reshape(-1, dims[l]) @ h.T).reshape(w.shape[:-1] + (-1,))
-            prod = np.swapaxes(prod, -1, -2)
-        else:
+            b = b[..., :, None]
+        else:  # (..., points, out)
             prod = h @ np.swapaxes(w, -1, -2)
-        b = b[..., None, :]
+            b = b[..., None, :]
         if ntk:
             prod *= config.sigma_w / np.sqrt(dims[l])
-            h = prod + config.sigma_b * b
+            if config.sigma_b != 0.0:
+                prod += config.sigma_b * b
         else:
-            h = prod + b
+            prod += b
+        h = np.swapaxes(prod, -1, -2) if shared else prod
     return h
 
 
@@ -211,25 +219,25 @@ def layer_cov(phi_units_by_points: np.ndarray, fan_in: int,
 
 
 def layer_step(config: NetworkConfig, g: np.ndarray, e: np.ndarray,
-               cond: Optional[tuple] = None) -> np.ndarray:
-    """Draw one layer's preactivations at new points, exactly.
+               cond: Optional[tuple] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Draw one layer's preactivations at new points in function space, exactly.
 
     ``g`` holds the previous layer's activations there, units by points with
     any leading batch axes (the inputs, transposed, for the first layer).
     Given ``g`` the units are i.i.d. N(0, C) over the points, C =
     :func:`layer_cov` (Matthews et al. 2018; Lee et al. 2018), and ``e``
     holds the standard normals, one row per unit: the draw is
-    ``e @ chol_batch(C).T``. With ``cond = (g_x, f_x)`` it is conditioned on
-    this layer's values ``f_x`` at other points, where the previous layer
-    was ``g_x``: ``f_x @ A + e @ S.T`` with ``A = C_xx^-1 C_xt``, solved with
-    the ``chol_batch`` factor of C_xx that draws ``f_x``, and S the factor of
-    the Schur complement ``C_tt - C_tx A``.
+    ``e @ chol_batch(C).T``, written into ``out`` if given. With ``cond =
+    (g_x, f_x)`` it is conditioned on this layer's values ``f_x`` at other
+    points, where the previous layer was ``g_x``: ``f_x @ A + e @ S.T`` with
+    ``A = C_xx^-1 C_xt``, solved with the ``chol_batch`` factor of C_xx that
+    draws ``f_x``, and S the factor of the Schur complement ``C_tt - C_tx A``.
     """
     sw, sb = config.sigma_w, config.sigma_b
     d_in = g.shape[-2]
     c_tt = layer_cov(g, d_in, sw, sb)
     if cond is None:
-        return e @ np.swapaxes(chol_batch(c_tt), -1, -2)
+        return np.matmul(e, np.swapaxes(chol_batch(c_tt), -1, -2), out=out)
     import scipy.linalg  # here, not at module level, where it slows every import
 
     g_x, f_x = cond
@@ -240,27 +248,100 @@ def layer_step(config: NetworkConfig, g: np.ndarray, e: np.ndarray,
     return f_x @ a_mat + e @ np.swapaxes(chol_batch(schur), -1, -2)
 
 
+def weight_space(fan_in: int, points: int) -> bool:
+    """Whether a layer of ``fan_in`` inputs is drawn in weight space at
+    ``points`` points: when its ``fan_in + 1`` weights per unit are no more
+    than the points, so that it takes no more normals than its values would,
+    and no factorisation."""
+    return fan_in + 1 <= points
+
+
+def _layer_sizes(config: NetworkConfig, m: int) -> List[tuple]:
+    """``(units, normals per unit)`` of every sampled layer drawn at ``m``
+    points: ``fan_in + 1`` in weight space, else ``m``."""
+    dims = config.layer_dims
+    return [(dims[l + 1], dims[l] + 1 if weight_space(dims[l], m) else m)
+            for l in range(len(dims) - 1)]
+
+
+def normals_per_draw(config: NetworkConfig, m: int) -> int:
+    """Normals that one draw of every sampled layer at ``m`` points takes."""
+    return sum(units * k for units, k in _layer_sizes(config, m))
+
+
+def layer_normals(z: np.ndarray, config: NetworkConfig, m: int) -> Iterator[np.ndarray]:
+    """Split each row of ``z`` into the normals of every sampled layer drawn
+    at ``m`` points, layer by layer, as ``(batch, units, k)`` arrays: ``k`` is
+    ``fan_in + 1`` for a layer drawn in weight space, else ``m``."""
+    off = 0
+    for units, k in _layer_sizes(config, m):
+        yield z[:, off:off + units * k].reshape(z.shape[0], units, k)
+        off += units * k
+
+
+def _features(g: np.ndarray, sigma_w: float, sigma_b: float) -> np.ndarray:
+    """``[sigma_w / sqrt(d) * g; sigma_b * 1^T]`` for activations ``g``, d
+    units by points over the last two axes: one unit's preactivations are
+    its weights and bias times this matrix."""
+    d = g.shape[-2]
+    feats = np.empty(g.shape[:-2] + (d + 1, g.shape[-1]))
+    np.multiply(g, sigma_w / np.sqrt(d), out=feats[..., :d, :])
+    feats[..., d, :] = sigma_b
+    return feats
+
+
 def sample_layers(config: NetworkConfig, x: np.ndarray, normals: Iterable[np.ndarray],
                   x_cond: Optional[np.ndarray] = None,
-                  f_cond: Optional[Sequence[np.ndarray]] = None) -> Iterator[np.ndarray]:
+                  f_cond: Optional[Sequence[np.ndarray]] = None,
+                  out: Optional[Sequence[np.ndarray]] = None) -> Iterator[np.ndarray]:
     """Yield each sampled layer's preactivations at the points ``x`` (rows),
     units by points, from the first hidden layer to the output layer.
 
-    ``normals`` yields each layer's standard normals, ``(batch, units,
-    points)``, and is advanced one layer at a time, so a caller drawing them
-    from a stream keeps its draw order. With ``x_cond`` and ``f_cond`` (the
-    layers as yielded at ``x_cond``, same batch), every layer is conditioned
-    on its values there; zero conditioning points give the plain draw.
+    ``normals`` yields each layer's standard normals as :func:`layer_normals`
+    splits them, and is advanced one layer at a time, so a caller drawing
+    them from a stream keeps its draw order. A layer with no more weights
+    per unit than points (:func:`weight_space`) is drawn in weight space: its
+    normals are each unit's weights and bias θ, ``(batch, units, fan_in +
+    1)``, and its values are θ times ``[sigma_w / sqrt(fan_in) * phi(h);
+    sigma_b * 1^T]``, the previous layer's activations (the inputs for the
+    first layer) with a bias row: the weight-space view of the same
+    Gaussian (Rasmussen & Williams 2006, sections 2.1-2.2). Every other layer
+    is drawn in function space by :func:`layer_step`, from ``(batch, units,
+    points)`` normals.
+
+    With ``x_cond`` and ``f_cond`` (the layers as yielded at ``x_cond``, same
+    batch), the layers are extended from ``x_cond`` to ``x``. The rule is
+    applied at ``x_cond``'s points: a weight-space layer takes the θ it was
+    drawn with there as its normals, and every other layer is conditioned on
+    its values there; zero conditioning points give the plain draw.
+
+    ``out``, two flat float arrays that each hold one layer's values (batch
+    x units x points), makes a plain draw allocate no batch-sized arrays:
+    layer ``l`` is written into ``out[l % 2]`` and the next layer overwrites
+    it with its activations, so a yielded layer is valid only until the next
+    is drawn.
     """
     phi = nonlinearity_fn(config.nonlinearity)
+    sw, sb = config.sigma_w, config.sigma_b
+    dims = config.layer_dims
+    points = x.shape[0]
+    m = points if x_cond is None else x_cond.shape[0]
     g, f = x.T, None
     g_x = None if x_cond is None else x_cond.T
     for li, e in enumerate(normals):
         if li > 0:
-            g = phi(f)
+            g = phi(f) if out is None else phi(f, out=f)
             if x_cond is not None:
                 g_x = phi(f_cond[li - 1])
-        f = layer_step(config, g, e, None if x_cond is None else (g_x, f_cond[li]))
+        dest = None
+        if out is not None:
+            size = e.shape[0] * dims[li + 1] * points
+            dest = out[li % 2][:size].reshape(e.shape[0], dims[li + 1], points)
+        if weight_space(dims[li], m):
+            f = np.matmul(e, _features(g, sw, sb), out=dest)
+        else:
+            f = layer_step(config, g, e, None if x_cond is None else (g_x, f_cond[li]),
+                           out=dest)
         yield f
 
 
@@ -273,19 +354,26 @@ def prior_function_draws(
 ) -> np.ndarray:
     """Exact samples of network outputs at fixed points under the prior.
 
-    Instead of materialising weight matrices, each layer's activations at the
-    requested points are drawn from their exact conditional Gaussian given the
-    previous layer (rows of the preactivation matrix are i.i.d. across units).
-    The returned array has shape ``(n_draws, n_points, output_dim)`` and is
-    equal in distribution to ``forward(sample_prior(...), config, x)``.
+    Instead of materialising weight matrices, each layer is drawn by
+    :func:`sample_layers` from its exact conditional Gaussian given the
+    previous layer: in weight space where a layer has no more weights per
+    unit than there are points (``fan_in + 1 <= n_points``, the first layer
+    at 1-D inputs), else in function space (rows of the preactivation matrix
+    are i.i.d. across units). The returned array has shape ``(n_draws,
+    n_points, output_dim)`` and is equal in distribution to
+    ``forward(sample_prior(...), config, x)``.
 
-    Draw i takes its normals, layer by layer, from substream ``s + i`` of the
-    stream's key, ``s = stream.fresh_substream()``, and the stream is left at
-    substream ``s + n_draws``: the result is deterministic given the stream,
-    whatever ``batch_size`` and the core count. Draws are made ``batch_size``
-    at a time, by default about 2**17 floats (1 MB) per array, 13 draws at
-    width 1000 on 10 points, through :func:`numkit.ordered_map` on at most
-    the available cores, so a call of one batch runs on the calling thread.
+    Draw i takes its normals, layer by layer as :func:`layer_normals` splits
+    them, starting with the first layer's weights and biases θ, from
+    substream ``s + i`` of the stream's key, ``s =
+    stream.fresh_substream()``, and the stream is left at substream ``s +
+    n_draws``: the result is deterministic given the stream, whatever
+    ``batch_size`` and the core count. Draws are made ``batch_size`` at a
+    time, by default about 2**17 floats (1 MB) per layer, 13 draws at width
+    1000 on 10 points, through :func:`numkit.ordered_map` on at most the
+    available cores, so a call of one batch runs on the calling thread.
+    Each thread of a call allocates its batch arrays once, at its first
+    batch, and writes every later batch into them.
     """
     pts = as_matrix(x, "X")
     if pts.shape[1] != config.input_dim:
@@ -300,23 +388,25 @@ def prior_function_draws(
     if not is_int(batch_size) or batch_size < 1:
         raise ValueError("batch_size must be an integer >= 1")
 
-    out = np.empty((n_draws, m, config.output_dim))
+    draws = np.empty((n_draws, m, config.output_dim))
     first = stream.fresh_substream()
+    total = normals_per_draw(config, m)
+    cap = min(batch_size, n_draws)
+    local = threading.local()  # this call's batch arrays, one set per thread
 
     def draw(lo):
-        subs = [GaussianStream(stream.seed) for _ in range(min(batch_size, n_draws - lo))]
-        for i, sub in enumerate(subs, first + lo):
-            sub.rekey(stream.stream_id, i)
-        def normals():
-            # One layer at a time: whole rows held at once page-fault per batch.
-            for r in config.layer_dims[1:]:
-                e = np.empty((len(subs), r, m))
-                for row, sub in zip(e, subs):
-                    sub.normal(r * m, out=row.reshape(-1))
-                yield e
-        for f in sample_layers(config, pts, normals()):
+        if not hasattr(local, "z"):
+            layer_floats = cap * max(config.layer_dims[1:]) * m
+            local.sub = GaussianStream(stream.seed)
+            local.z = np.empty((cap, total))
+            local.layers = (np.empty(layer_floats), np.empty(layer_floats))
+        z = local.z[:min(batch_size, n_draws - lo)]
+        for i, row in enumerate(z, first + lo):
+            local.sub.rekey(stream.stream_id, i)
+            local.sub.normal(total, out=row)
+        for f in sample_layers(config, pts, layer_normals(z, config, m), out=local.layers):
             pass
-        out[lo:lo + len(subs)] = np.swapaxes(f, 1, 2)
+        draws[lo:lo + len(z)] = np.swapaxes(f, 1, 2)
 
     starts = range(0, n_draws, batch_size)
     # One batch runs on the calling thread, so that it makes no pool thread
@@ -324,7 +414,7 @@ def prior_function_draws(
     for _ in ordered_map(draw, starts, min(_available_cores(), len(starts))):
         pass
     stream.rekey(stream.stream_id, first + n_draws)
-    return out
+    return draws
 
 
 def _available_cores() -> int:

@@ -7,15 +7,16 @@ normals, and rows of 64 or more normals keep blocks of 64. Proposal i takes
 row ``i % G`` of ``GaussianStream(seed, i // G)``, which draws its block's
 rows in proposal order. G depends only on the config, the train points and
 the mode, never on the worker count. A row holds the parameter draw (or, in
-function mode, the train-point normals of every layer), then one extra
-normal mapped through the standard normal CDF to give the acceptance
-uniform. An accepted proposal i of function
-mode draws its eval-point normals from ``GaussianStream(seed, 2**63 + i)``, a
-key space apart from the block ids and from ``experiments.DATASET_STREAM_ID``
-(2**62). The accept test ``log u < log likelihood`` runs in linear space
-first and leaves near ties to ``log_ndtr`` (:func:`_accepted`).
-By default proposals run in chunks of whole blocks of about
-``numkit.BATCH_FLOATS`` normals, merged in ascending order, so results are
+function mode, the normals of every layer at the train points, as
+:func:`network.layer_normals` splits them), then one extra normal mapped
+through the standard normal CDF to give the acceptance uniform. An accepted
+proposal i of function mode draws the eval-point normals of its
+function-space layers from ``GaussianStream(seed, 2**63 + i)``, a key space
+apart from the block ids and from ``experiments.DATASET_STREAM_ID`` (2**62).
+The accept test ``log u < log likelihood`` runs in linear space first and
+leaves near ties to ``log_ndtr`` (:func:`_accepted`). By default proposals
+run in chunks of whole blocks that hold about ``numkit.BATCH_FLOATS`` floats
+of train-path values, merged in ascending order, so results are
 invariant to the worker count; a chunk that starts inside a block draws and
 discards the block's earlier rows (fewer than ``G * n``: below 8,192 normals
 for rows under 64 normals, 63 rows otherwise), so accepts do not depend on
@@ -28,27 +29,41 @@ Two internal evaluation paths produce identically distributed results:
   marginals of individual parameter coordinates);
 * ``function`` samples the network outputs at the train points directly from
   their exact per-layer conditional Gaussians (unit rows of each
-  preactivation matrix are i.i.d. given the previous layer), and extends
-  accepted proposals to the eval points by Gaussian conditioning. Both are
-  :func:`network.sample_layers`, the layer loop that prior draws use too.
+  preactivation matrix are i.i.d. given the previous layer), layer by layer
+  through :func:`network.sample_layers`, the layer loop that prior draws use
+  too. A layer whose ``fan_in + 1`` weights per unit are no more than the
+  ``m_train`` train points is drawn in weight space: ``fan_in + 1`` normals
+  per unit, its weights and bias θ, times the previous layer's activations
+  with a bias row. Every other layer is drawn in function space, ``m_train``
+  normals per unit. So a proposal draws ``sum over layers of units * (fan_in
+  + 1 if fan_in + 1 <= m_train else m_train) + 1`` normals: 9, 105 and
+  10,005 at widths 1, 10 and 1000, depth 3 and 4 train points, against
+  17, 125 and 12,005 with every layer in function space. An accepted
+  proposal is extended to the eval points layer by layer: a weight-space
+  layer reuses its train θ (values θ times the eval activations, no
+  normals and no conditioning), and a function-space layer is conditioned
+  on its train values with ``m_eval`` fresh normals per unit.
   This skips the O(width^2) weight materialisation, which is what makes
   wide-network sweeps tractable, and is distributionally exact, not an
   approximation.
 
-Every layer covariance is factored by :func:`numkit.chol_batch`, the
-sampling route: a fixed ``1e-12 * (trace / n + 1)`` jitter and one attempt,
-so a covariance that still fails raises ``NotPositiveDefinite`` rather than
-being factored with a larger jitter. The closed forms that the samples are
+Every function-space layer covariance is factored by
+:func:`numkit.chol_batch`, the sampling route: a fixed ``1e-12 * (trace / n
++ 1)`` jitter and one attempt, so a covariance that still fails raises
+``NotPositiveDefinite`` rather than being factored with a larger jitter;
+weight-space layers factor nothing. The closed forms that the samples are
 compared with use :func:`numkit.cholesky` instead, which does not accept a
 singular matrix.
 
-``mode="auto"`` picks the mode that draws fewer normals per proposal:
-``parameter`` draws ``n_params + 1``, ``function`` draws
-``(depth * width + output_dim) * m_train + 1``. It picks ``parameter`` on a
-tie and whenever parameter recording is requested. The counts leave out the
-accept path, where function mode conditions every accepted proposal on its
-train path, so at acceptance rates of a percent or more parameter mode can
-be the faster one at small widths.
+``mode="auto"`` picks the mode that holds fewer floats per proposal on the
+train path (``_proposal_floats``), which also sizes the default chunks:
+``parameter`` holds its ``n_params + 1`` normals, ``function`` the train
+values of every layer, ``(depth * width + output_dim) * m_train + 1``, at
+least its normals. It picks ``parameter`` on a tie and whenever parameter
+recording is requested. The counts leave out the accept path, where
+function mode conditions every accepted proposal's function-space layers
+on its train path, so at acceptance rates of a percent or more parameter
+mode can be the faster one at small widths.
 """
 
 from __future__ import annotations
@@ -61,7 +76,8 @@ import scipy.special
 
 from .errors import DimensionMismatch, InsufficientSamples
 from .likelihood import LikelihoodSpec, log_likelihood_batch
-from .network import NetworkConfig, _split_flat, forward, reparametrise, sample_layers
+from .network import (NetworkConfig, _split_flat, forward, layer_normals, normals_per_draw,
+                      reparametrise, sample_layers, weight_space)
 from .numkit import BATCH_FLOATS as _BATCH_BUDGET  # doubles held per gather batch
 from .numkit import GaussianStream, as_matrix, is_int, ordered_map
 
@@ -245,8 +261,21 @@ def _gather(seed: int, lo: int, hi: int, count: int):
 
 
 def _normals_per_proposal(config: NetworkConfig, m_train: int, mode: str) -> int:
-    """Normals one proposal draws: every parameter, or every sampled layer's
-    train-point activations; each mode adds the acceptance normal."""
+    """Normals one proposal draws: every parameter, or every sampled layer at
+    the train points (:func:`network.layer_normals`: the weights and bias of
+    each unit of a weight-space layer, its train-point values otherwise);
+    each mode adds the acceptance normal."""
+    if mode == "parameter":
+        return config.n_params + 1
+    return normals_per_draw(config, m_train) + 1
+
+
+def _proposal_floats(config: NetworkConfig, m_train: int, mode: str) -> int:
+    """Floats one proposal holds on the train path, which size the default
+    chunks and decide ``mode="auto"``: its normals in parameter mode; in
+    function mode every sampled layer's train-point values, which the eval
+    extension keeps and which are at least its normals. Each mode adds the
+    acceptance normal."""
     if mode == "parameter":
         return config.n_params + 1
     return sum(config.layer_dims[1:]) * m_train + 1
@@ -272,18 +301,16 @@ def _slices(hit: np.ndarray, floats: int):
     return (hit[k:k + step] for k in range(0, hit.size, step))
 
 
-def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
+def _run_chunk_parameter(ntk, train_x, train_y, lik, eval_x, seed, lo, hi,
                          indices, scales):
-    # Raw N(0,1) parameters under the NTK convention induce the same functions
-    # as scaled ones under the standard convention, so both run as NTK.
-    ntk = replace(config, parametrisation="ntk")
-    n_par = config.n_params
-    acc = MomentAccumulator.zeros(eval_x.shape[0] * config.output_dim)
+    # ``ntk`` is the config under the NTK convention, made once per call.
+    n_par = ntk.n_params
+    acc = MomentAccumulator.zeros(eval_x.shape[0] * ntk.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
     lik_acc = MomentAccumulator.zeros(1)
-    per_accept = max(n_par, max(config.layer_dims) * eval_x.shape[0])
+    per_accept = max(n_par, max(ntk.layer_dims) * eval_x.shape[0])
     for _, z in _gather(seed, lo, hi,
-                        _normals_per_proposal(config, train_x.shape[0], "parameter")):
+                        _normals_per_proposal(ntk, train_x.shape[0], "parameter")):
         outs = forward(_split_flat(z[:, :n_par], ntk), ntk, train_x)
         logl = log_likelihood_batch(lik, outs, train_y)
         ell = np.exp(logl)
@@ -296,37 +323,49 @@ def _run_chunk_parameter(config, train_x, train_y, lik, eval_x, seed, lo, hi,
     return acc, pstats, lik_acc
 
 
-def _layer_normals(z: np.ndarray, config: NetworkConfig, m: int):
-    """Split each row of ``z`` into the normals of every sampled layer at
-    ``m`` points, layer by layer, as ``(batch, units, m)`` arrays."""
+def _eval_normals(z_eval: np.ndarray, train_normals, part: np.ndarray,
+                  config: NetworkConfig, mt: int, me: int):
+    """Each sampled layer's normals for extending the proposals ``part`` to
+    ``me`` eval points: a layer drawn in weight space at the ``mt`` train
+    points reuses those proposals' θ from ``train_normals``; every other
+    layer takes its ``units * me`` normals from the rows of ``z_eval``, in
+    layer order."""
     off = 0
-    for rows in config.layer_dims[1:]:
-        yield z[:, off:off + rows * m].reshape(z.shape[0], rows, m)
-        off += rows * m
+    dims = config.layer_dims
+    for l, theta in enumerate(train_normals):
+        if weight_space(dims[l], mt):
+            yield theta[part]
+        else:
+            yield z_eval[:, off:off + dims[l + 1] * me].reshape(z_eval.shape[0], dims[l + 1], me)
+            off += dims[l + 1] * me
 
 
 def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi):
     mt, me = train_x.shape[0], eval_x.shape[0]
-    units = sum(config.layer_dims[1:])
-    eval_total = units * me
+    dims = config.layer_dims
+    units = sum(dims[1:])
+    eval_total = sum(dims[l + 1] * me for l in range(len(dims) - 1)
+                     if not weight_space(dims[l], mt))
     acc = MomentAccumulator.zeros(me * config.output_dim)
     lik_acc = MomentAccumulator.zeros(1)
     per_accept = max(units, me) * me  # eval normals; me x me covariances
     stream = GaussianStream(seed, _EVAL_KEYS + lo)
     for pos, z in _gather(seed, lo, hi, _normals_per_proposal(config, mt, "function")):
-        train_layers = list(sample_layers(config, train_x, _layer_normals(z, config, mt)))
+        train_normals = list(layer_normals(z, config, mt))
+        train_layers = list(sample_layers(config, train_x, train_normals))
         outs = np.swapaxes(train_layers[-1], 1, 2)  # (b, m_t, p)
         logl = log_likelihood_batch(lik, outs, train_y)
         ell = np.exp(logl)
         lik_acc.update_block(ell[:, None])
         for part in _slices(_accepted(z[:, -1], logl, ell), per_accept):
             z_eval = np.empty((part.size, eval_total))
-            for j, local in enumerate(part):
-                stream.rekey(_EVAL_KEYS + pos + int(local))
-                stream.normal(eval_total, out=z_eval[j])
+            if eval_total:
+                for j, local in enumerate(part):
+                    stream.rekey(_EVAL_KEYS + pos + int(local))
+                    stream.normal(eval_total, out=z_eval[j])
+            normals = _eval_normals(z_eval, train_normals, part, config, mt, me)
             picked = [layer[part] for layer in train_layers]
-            for f_t in sample_layers(config, eval_x, _layer_normals(z_eval, config, me),
-                                     train_x, picked):
+            for f_t in sample_layers(config, eval_x, normals, train_x, picked):
                 pass
             acc.update_block(np.swapaxes(f_t, 1, 2).reshape(part.size, -1))
     return acc, None, lik_acc
@@ -351,10 +390,11 @@ def rejection_sample(
     equal to its (sup-1) likelihood on the training set; accepted draws are
     exact i.i.d. samples from the posterior pushed through the network.
 
-    The default ``chunk_size`` holds ``numkit.BATCH_FLOATS // n`` proposals
-    at ``n`` normals per proposal, rounded down to whole Philox blocks of
-    ``64 * ceil(64 / n)`` proposals and at least one block, so it depends
-    only on the config, ``train_x`` and the mode. With ``workers > 1`` at
+    The default ``chunk_size`` holds ``numkit.BATCH_FLOATS // f`` proposals
+    at ``f`` train-path floats per proposal (``_proposal_floats``), rounded
+    down to whole Philox blocks of ``64 * ceil(64 / n)`` proposals at ``n``
+    normals per proposal and at least one block, so it depends only on the
+    config, ``train_x`` and the mode. With ``workers > 1`` at
     most ``2 * workers`` chunks are submitted ahead of the merge; a failing
     chunk cancels the queued ones. Accepted proposals are extended to
     ``eval_x`` in slices of about ``BATCH_FLOATS`` floats per array.
@@ -384,16 +424,16 @@ def rejection_sample(
 
     mt = train_x.shape[0]
     if mode == "auto":
-        fewer = (_normals_per_proposal(config, mt, "parameter")
-                 <= _normals_per_proposal(config, mt, "function"))
+        fewer = (_proposal_floats(config, mt, "parameter")
+                 <= _proposal_floats(config, mt, "function"))
         mode = "parameter" if record_params is not None or fewer else "function"
     if mode not in ("parameter", "function"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "function" and record_params is not None:
         raise ValueError("parameter recording requires mode='parameter'")
     if chunk_size is None:
-        count = _normals_per_proposal(config, mt, mode)
-        block, per_chunk = _block_size(count), _BATCH_BUDGET // count
+        block = _block_size(_normals_per_proposal(config, mt, mode))
+        per_chunk = _BATCH_BUDGET // _proposal_floats(config, mt, mode)
         chunk_size = max(block, per_chunk - per_chunk % block)
 
     indices = scales = None
@@ -402,13 +442,17 @@ def rejection_sample(
         scales = _param_scales(config, indices)
 
     if mode == "function":
-        runner, extra = _run_chunk_function, ()
+        runner, run_config, extra = _run_chunk_function, config, ()
     else:
+        # Raw N(0,1) parameters under the NTK convention induce the same
+        # functions as scaled ones under the standard convention, so both
+        # run as NTK.
         runner, extra = _run_chunk_parameter, (indices, scales)
+        run_config = replace(config, parametrisation="ntk")
 
     def run(lo):
         hi = min(lo + chunk_size, n_proposals)
-        return runner(config, train_x, train_y, likelihood, eval_x, seed, lo, hi, *extra)
+        return runner(run_config, train_x, train_y, likelihood, eval_x, seed, lo, hi, *extra)
 
     acc = MomentAccumulator.zeros(eval_x.shape[0] * config.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None

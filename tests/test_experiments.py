@@ -294,6 +294,17 @@ class TestCli:
         assert cli.main(["linreg-rates", "--n-grid", "abc",
                          "--m", "4", "--seed", "1", "--out", str(out)]) == 2
 
+    def test_linreg_rates_route_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
+        from widebnn import linreg
+
+        real = linreg.w2_gaussian
+        monkeypatch.setattr(linreg, "w2_gaussian", lambda p, q: real(p, q) + 1.0)
+        out = tmp_path / "rates.csv"
+        assert cli.main(["linreg-rates", "--n-grid", "16,32", "--m", "4",
+                         "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: w2_sq: spectral route") and "Traceback" not in err
+
     @pytest.mark.parametrize("grid,m", [("8,4", 2), ("16", 8), ("4,16,32", 8),
                                         ("16,32", 0)])
     def test_linreg_rates_bad_grid_exit_code(self, tmp_path, grid, m):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import math
 import pickle
 import threading
 
@@ -8,6 +9,8 @@ import pytest
 
 from widebnn import network
 from widebnn.errors import DimensionMismatch, NotPositiveDefinite
+from widebnn.kernels import nngp_kernel
+from widebnn.metrics import rel_frobenius
 from widebnn.network import (
     NetworkConfig,
     forward,
@@ -188,6 +191,51 @@ class TestPriorFunctionDraws:
         cf, cr = np.cov(fn.T), np.cov(ref.T)
         assert np.linalg.norm(cf - cr) / np.linalg.norm(cr) < 0.1
         assert np.abs(fn.mean(axis=0)).max() < 0.05
+
+    @pytest.mark.parametrize("points", [1, 10, 11])
+    def test_weight_and_function_space_layers_match_the_nngp(self, points):
+        # Depth 3, width 10 (fan-in 10 after layer 1): on 1 point every
+        # layer is drawn in function space, on 10 only layer 1 in weight
+        # space, on 11 every layer. The finite-width bias is about 0.015.
+        cfg = NetworkConfig(depth=3, input_dim=1, output_dim=1, hidden_width=10)
+        x = np.linspace(-np.pi, np.pi, points)[:, None]
+        assert [network.weight_space(d, points) for d in cfg.layer_dims[:-1]] == {
+            1: [False] * 4, 10: [True, False, False, False], 11: [True] * 4}[points]
+        n = 20_000
+        f = prior_function_draws(cfg, x, n, GaussianStream(5, 0))[:, :, 0]
+        k = nngp_kernel(cfg, x, x)
+        # Four root-mean-square errors of rel_frobenius at n draws, the
+        # criterion-2 bound of bench/METRICS.md.
+        fro2 = float(np.sum(k ** 2))
+        bound = 4.0 * math.sqrt((fro2 + float(np.trace(k)) ** 2) / (n - 1) / fro2)
+        assert rel_frobenius(np.atleast_2d(np.cov(f.T)), k) < bound
+
+    def test_draw_starts_with_the_first_layers_weights_and_bias(self):
+        # Layer 1 at 1-D inputs on 3 points takes (w, b) per unit, so
+        # f = sigma_w * w * x + sigma_b * b; the output layer (fan-in 4)
+        # takes its 3 values' normals.
+        cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)
+        x = np.array([[0.5], [-0.25], [2.0]])
+        assert network.normals_per_draw(cfg, 3) == 4 * 2 + 1 * 3
+        row = GaussianStream(3, 1).normal(11)[None]
+        layers = list(network.sample_layers(cfg, x, network.layer_normals(row, cfg, 3)))
+        theta = row[0, :8].reshape(4, 2)
+        want = cfg.sigma_w * theta[:, :1] * x.T + cfg.sigma_b * theta[:, 1:]
+        np.testing.assert_allclose(layers[0][0], want, rtol=1e-14, atol=1e-14)
+        draw = prior_function_draws(cfg, x, 1, GaussianStream(3, 1))
+        assert np.array_equal(draw[0], layers[-1][0].T)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_repeated_calls_with_a_short_last_batch_are_identical(self, monkeypatch, cores):
+        # 23 draws in batches of 5: the last batch of 3 reuses the batch
+        # arrays of its thread, and must not read what earlier batches left.
+        monkeypatch.setattr(network, "_available_cores", lambda: cores)
+        cfg = NetworkConfig(depth=2, input_dim=1, output_dim=2, hidden_width=30)
+        x = np.linspace(-1.0, 1.0, 6)[:, None]
+        runs = [prior_function_draws(cfg, x, 23, GaussianStream(9, 4), batch_size=5).tobytes()
+                for _ in range(3)]
+        single = prior_function_draws(cfg, x, 23, GaussianStream(9, 4), batch_size=1)
+        assert runs[0] == runs[1] == runs[2] == single.tobytes()
 
     def test_deterministic_for_fixed_batch_size(self):
         cfg = NetworkConfig(depth=1, input_dim=1, output_dim=2, hidden_width=4)

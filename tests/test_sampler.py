@@ -141,6 +141,18 @@ class TestRejectionSampler:
         se_var = var * np.sqrt(2.0 / (n - 1))
         assert np.all(np.abs(var - np.diag(pred.cov)) < 5 * se_var)
 
+    def test_conjugate_oracle_in_function_mode(self):
+        # Its one layer (fan-in 1) is drawn in weight space on the 3 train
+        # points, and accepted proposals reuse those weights at eval points.
+        report = rejection_sample(linear_config(), TX, TY, LIK, EX, 100_000, seed=3,
+                                  mode="function")
+        pred = linreg_predictive(LinRegProblem(TX, TY[:, 0]), 0.1, EX, alpha=1.0)
+        assert report.mode == "function" and report.accepts > 5000
+        n = report.accepts
+        var = np.diag(report.posterior_cov)
+        assert np.all(np.abs(report.posterior_mean - pred.mean) < 4 * np.sqrt(var / n))
+        assert np.all(np.abs(var - np.diag(pred.cov)) < 4 * var * np.sqrt(2.0 / (n - 1)))
+
     def test_deterministic_and_worker_invariant(self):
         kw = dict(n_proposals=20_000, seed=9)
         r1 = rejection_sample(linear_config(), TX, TY, LIK, EX, workers=1, **kw)
@@ -377,7 +389,8 @@ def test_eval_keys_are_apart_from_block_ids_and_the_dataset_stream():
     assert sampler._EVAL_KEYS + top < 1 << 64
 
 
-def normals_per_proposal(cfg, m, mode):
+def floats_per_proposal(cfg, m, mode):
+    """Parameter mode holds its normals; function mode every layer's train values."""
     if mode == "parameter":
         return cfg.n_params + 1
     return (cfg.depth * cfg.hidden_width + cfg.output_dim) * m + 1
@@ -387,9 +400,9 @@ def normals_per_proposal(cfg, m, mode):
     (0, 1, 3, "parameter", 100_000),   # the L=0 oracle: 3 normals, 43,648 per chunk
     (3, 1, 4, "parameter", 50_000),    # 9 normals: blocks of 512, 14,336 per chunk
     (3, 10, 0, "function", 300_000),   # no train points, 1 normal: 131,072 per chunk
-    (3, 10, 4, "function", 5_000),     # 125 normals: 1,024 per chunk
-    (3, 100, 4, "function", 1_000),    # 1,205 normals: one block per chunk
-    (3, 1000, 4, "function", 200),     # 12,005 normals: one block, larger than the budget
+    (3, 10, 4, "function", 5_000),     # 125 floats, 105 normals: 1,024 per chunk
+    (3, 100, 4, "function", 1_000),    # 1,205 floats: one block per chunk
+    (3, 1000, 4, "function", 200),     # 12,005 floats: one block, larger than the budget
     (1, 1000, 1, "parameter", 300),    # 3,002 normals
 ])
 def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n,
@@ -409,8 +422,8 @@ def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n,
     report = rejection_sample(cfg, tx, np.sin(tx), LIK, EX, n, seed=0, mode=mode,
                               chunk_size=None)
     assert report.proposals == n and report.mean_likelihood == 1.0
-    count = normals_per_proposal(cfg, m, mode)
-    block = sampler._block_size(count)
+    count = floats_per_proposal(cfg, m, mode)
+    block = sampler._block_size(sampler._normals_per_proposal(cfg, m, mode))
     assert [lo for lo, _ in spans] == list(range(0, n, spans[0][1]))
     assert spans[-1][1] == n
     for lo, hi in spans:
@@ -423,6 +436,34 @@ def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n,
     assert full % block == 0
     if block * count <= BATCH_FLOATS:
         assert (full + block) * count > BATCH_FLOATS or len(spans) == 1
+
+
+@pytest.mark.parametrize("width,count", [(1, 9), (10, 105), (1000, 10_005)])
+def test_function_mode_normals_per_proposal(width, count):
+    # Depth 3 on 4 train points: a layer of fan-in d takes d + 1 normals per
+    # unit in weight space (d + 1 <= 4), else 4; plus the acceptance normal.
+    cfg = NetworkConfig(depth=3, input_dim=1, output_dim=1, hidden_width=width)
+    assert sampler._normals_per_proposal(cfg, 4, "function") == count
+
+
+@pytest.mark.parametrize("width,eval_keys", [(1, False), (10, True)])
+def test_weight_space_layers_take_no_eval_normals(width, eval_keys, monkeypatch):
+    # Width 1 draws every layer in weight space on 4 train points, so an
+    # accepted proposal is extended with its train weights alone.
+    drawn_from = []
+    normal = GaussianStream.normal
+
+    def spy(self, count, out=None):
+        drawn_from.append(self.stream_id)
+        return normal(self, count, out)
+
+    monkeypatch.setattr(GaussianStream, "normal", spy)
+    cfg = NetworkConfig(depth=3, input_dim=1, output_dim=1, hidden_width=width)
+    tx = np.linspace(-1, 1, 4)[:, None]
+    report = rejection_sample(cfg, tx, np.sin(tx), LikelihoodSpec("gaussian", sigma2=1.0),
+                              EX, 2_000, seed=4, mode="function")
+    assert report.accepts > 100
+    assert any(k >= sampler._EVAL_KEYS for k in drawn_from) == eval_keys
 
 
 def test_default_chunks_are_worker_invariant():
