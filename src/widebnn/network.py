@@ -115,19 +115,13 @@ class ParameterSet:
 
 
 def _split_flat(flat: np.ndarray, config: NetworkConfig) -> ParameterSet:
-    """Layer-major, weights (row-major) then bias, per the draw-order contract.
-
-    Leading axes of ``flat`` stay leading axes of every weight and bias.
-    """
+    """Layer-major, weights (row-major) then bias, per the draw-order contract."""
     weights, biases, off = [], [], 0
-    lead = flat.shape[:-1]
     for (out_d, in_d) in config.layer_shapes:
-        w = flat[..., off:off + out_d * in_d].reshape(lead + (out_d, in_d))
+        weights.append(flat[off:off + out_d * in_d].reshape(out_d, in_d))
         off += out_d * in_d
-        b = flat[..., off:off + out_d]
+        biases.append(flat[off:off + out_d])
         off += out_d
-        weights.append(w)
-        biases.append(b)
     return ParameterSet(weights, biases)
 
 
@@ -149,12 +143,10 @@ def sample_prior(config: NetworkConfig, stream: GaussianStream) -> ParameterSet:
 
 
 def forward(params: ParameterSet, config: NetworkConfig, x) -> np.ndarray:
-    """Evaluate the network on a batch of inputs (rows).
+    """Evaluate the network of one parameter set on a batch of inputs (rows).
 
     The nonlinearity is applied to hidden layers only, never to the output
-    layer. Parameters with a leading batch axis (from a stack of flat
-    parameter vectors) give one output matrix per parameter set, shape
-    ``(batch, points, output_dim)``.
+    layer. Returns a ``(points, output_dim)`` matrix.
     """
     h = as_matrix(x, "X")
     if h.shape[1] != config.input_dim:
@@ -167,26 +159,19 @@ def forward(params: ParameterSet, config: NetworkConfig, x) -> np.ndarray:
     ntk = config.parametrisation == "ntk"
     dims = config.layer_dims
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if w.shape[-2:] != (dims[l + 1], dims[l]):
+        if w.shape != (dims[l + 1], dims[l]):
             raise DimensionMismatch(
                 f"layer {l} weights have shape {w.shape}, expected {(dims[l + 1], dims[l])}"
             )
         if l > 0:
             h = phi(h)
-        shared = h.ndim == 2 and w.ndim > 2
-        if shared:  # inputs shared by every set: one GEMM, (..., out, points)
-            prod = (w.reshape(-1, dims[l]) @ h.T).reshape(w.shape[:-1] + (-1,))
-            b = b[..., :, None]
-        else:  # (..., points, out)
-            prod = h @ np.swapaxes(w, -1, -2)
-            b = b[..., None, :]
+        h = h @ w.T
         if ntk:
-            prod *= config.sigma_w / np.sqrt(dims[l])
+            h *= config.sigma_w / np.sqrt(dims[l])
             if config.sigma_b != 0.0:
-                prod += config.sigma_b * b
+                h += config.sigma_b * b
         else:
-            prod += b
-        h = np.swapaxes(prod, -1, -2) if shared else prod
+            h += b
     return h
 
 
@@ -252,68 +237,71 @@ def weight_space(fan_in: int, points: int) -> bool:
     """Whether a layer of ``fan_in`` inputs is drawn in weight space at
     ``points`` points: when its ``fan_in + 1`` weights per unit are no more
     than the points, so that it takes no more normals than its values would,
-    and no factorisation."""
+    and no factorisation. This is the default rule of :func:`layer_normals`,
+    :func:`normals_per_draw` and :func:`sample_layers`; a rule is any
+    function of ``(fan_in, points)`` that returns this decision."""
     return fan_in + 1 <= points
 
 
-def _layer_sizes(config: NetworkConfig, m: int) -> List[tuple]:
-    """``(units, normals per unit)`` of every sampled layer drawn at ``m``
-    points: ``fan_in + 1`` in weight space, else ``m``."""
+def normals_per_draw(config: NetworkConfig, m: int, rule=weight_space) -> int:
+    """Normals that one draw of every sampled layer at ``m`` points takes:
+    ``units * (fan_in + 1)`` for a layer that ``rule`` draws in weight space,
+    else ``units * m``."""
     dims = config.layer_dims
-    return [(dims[l + 1], dims[l] + 1 if weight_space(dims[l], m) else m)
-            for l in range(len(dims) - 1)]
+    return sum(dims[l + 1] * (dims[l] + 1 if rule(dims[l], m) else m)
+               for l in range(len(dims) - 1))
 
 
-def normals_per_draw(config: NetworkConfig, m: int) -> int:
-    """Normals that one draw of every sampled layer at ``m`` points takes."""
-    return sum(units * k for units, k in _layer_sizes(config, m))
-
-
-def layer_normals(z: np.ndarray, config: NetworkConfig, m: int) -> Iterator[np.ndarray]:
+def layer_normals(z: np.ndarray, config: NetworkConfig, m: int,
+                  rule=weight_space) -> Iterator[np.ndarray]:
     """Split each row of ``z`` into the normals of every sampled layer drawn
-    at ``m`` points, layer by layer, as ``(batch, units, k)`` arrays: ``k`` is
-    ``fan_in + 1`` for a layer drawn in weight space, else ``m``."""
+    at ``m`` points, layer by layer. A layer that ``rule`` draws in weight
+    space takes its parameters in the draw-order layout of
+    :func:`sample_prior`, W (units x fan_in) row-major then b, as a ``(batch,
+    units * (fan_in + 1))`` slice; so with every layer in weight space a row
+    is the flat NTK parameter vector. Every other layer takes ``(batch,
+    units, m)`` normals."""
     off = 0
-    for units, k in _layer_sizes(config, m):
-        yield z[:, off:off + units * k].reshape(z.shape[0], units, k)
-        off += units * k
-
-
-def _features(g: np.ndarray, sigma_w: float, sigma_b: float) -> np.ndarray:
-    """``[sigma_w / sqrt(d) * g; sigma_b * 1^T]`` for activations ``g``, d
-    units by points over the last two axes: one unit's preactivations are
-    its weights and bias times this matrix."""
-    d = g.shape[-2]
-    feats = np.empty(g.shape[:-2] + (d + 1, g.shape[-1]))
-    np.multiply(g, sigma_w / np.sqrt(d), out=feats[..., :d, :])
-    feats[..., d, :] = sigma_b
-    return feats
+    dims = config.layer_dims
+    for l in range(len(dims) - 1):
+        units = dims[l + 1]
+        if rule(dims[l], m):
+            yield z[:, off:off + units * (dims[l] + 1)]
+            off += units * (dims[l] + 1)
+        else:
+            yield z[:, off:off + units * m].reshape(z.shape[0], units, m)
+            off += units * m
 
 
 def sample_layers(config: NetworkConfig, x: np.ndarray, normals: Iterable[np.ndarray],
                   x_cond: Optional[np.ndarray] = None,
-                  f_cond: Optional[Sequence[np.ndarray]] = None,
-                  out: Optional[Sequence[np.ndarray]] = None) -> Iterator[np.ndarray]:
+                  f_cond: Optional[Sequence[Optional[np.ndarray]]] = None,
+                  out: Optional[Sequence[np.ndarray]] = None,
+                  rule=weight_space) -> Iterator[np.ndarray]:
     """Yield each sampled layer's preactivations at the points ``x`` (rows),
     units by points, from the first hidden layer to the output layer.
 
     ``normals`` yields each layer's standard normals as :func:`layer_normals`
-    splits them, and is advanced one layer at a time, so a caller drawing
-    them from a stream keeps its draw order. A layer with no more weights
-    per unit than points (:func:`weight_space`) is drawn in weight space: its
-    normals are each unit's weights and bias θ, ``(batch, units, fan_in +
-    1)``, and its values are θ times ``[sigma_w / sqrt(fan_in) * phi(h);
-    sigma_b * 1^T]``, the previous layer's activations (the inputs for the
-    first layer) with a bias row: the weight-space view of the same
-    Gaussian (Rasmussen & Williams 2006, sections 2.1-2.2). Every other layer
-    is drawn in function space by :func:`layer_step`, from ``(batch, units,
-    points)`` normals.
+    splits them under the same ``rule``, and is advanced one layer at a
+    time, so a caller drawing them from a stream keeps its draw order. A
+    layer that ``rule`` puts in weight space (by default :func:`weight_space`:
+    no more weights per unit than points) takes its weights W and biases b
+    as normals, and its values are ``sigma_w / sqrt(fan_in) * W phi(h) +
+    sigma_b * b``, with ``phi(h)`` the previous layer's activations (the
+    inputs for the first layer): the NTK-convention forward pass, the
+    weight-space view of the same Gaussian (Rasmussen & Williams 2006,
+    sections 2.1-2.2). Inputs that every draw shares (the first layer's) make
+    one matrix product for the whole batch. Every other layer is drawn in
+    function space by :func:`layer_step`, from ``(batch, units, points)``
+    normals.
 
     With ``x_cond`` and ``f_cond`` (the layers as yielded at ``x_cond``, same
     batch), the layers are extended from ``x_cond`` to ``x``. The rule is
-    applied at ``x_cond``'s points: a weight-space layer takes the θ it was
-    drawn with there as its normals, and every other layer is conditioned on
-    its values there; zero conditioning points give the plain draw.
+    applied at ``x_cond``'s points: a weight-space layer takes the W and b it
+    was drawn with there as its normals, and every other layer is
+    conditioned on its values there; zero conditioning points give the plain
+    draw. Only a function-space layer and the layer before it are read from
+    ``f_cond``, so the others may be None.
 
     ``out``, two flat float arrays that each hold one layer's values (batch
     x units x points), makes a plain draw allocate no batch-sized arrays:
@@ -327,21 +315,35 @@ def sample_layers(config: NetworkConfig, x: np.ndarray, normals: Iterable[np.nda
     points = x.shape[0]
     m = points if x_cond is None else x_cond.shape[0]
     g, f = x.T, None
-    g_x = None if x_cond is None else x_cond.T
     for li, e in enumerate(normals):
+        d, units = dims[li], dims[li + 1]
         if li > 0:
             g = phi(f) if out is None else phi(f, out=f)
-            if x_cond is not None:
-                g_x = phi(f_cond[li - 1])
+        batch = e.shape[0]
         dest = None
         if out is not None:
-            size = e.shape[0] * dims[li + 1] * points
-            dest = out[li % 2][:size].reshape(e.shape[0], dims[li + 1], points)
-        if weight_space(dims[li], m):
-            f = np.matmul(e, _features(g, sw, sb), out=dest)
+            dest = out[li % 2][:batch * units * points].reshape(batch, units, points)
+        if rule(d, m):
+            if g.ndim == 2:  # inputs shared by every draw: one GEMM of each
+                # unit's [W b] with [sigma_w / sqrt(d) * g; sigma_b * 1^T]
+                wb = np.empty((batch, units, d + 1))
+                wb[..., :d] = e[:, :units * d].reshape(batch, units, d)
+                wb[..., d] = e[:, units * d:]
+                feats = np.vstack([sw / np.sqrt(d) * g, np.full((1, points), sb)])
+                f = np.matmul(wb.reshape(-1, d + 1), feats,
+                              out=None if dest is None else dest.reshape(-1, points))
+                f = f.reshape(batch, units, points)
+            else:
+                f = np.matmul(e[:, :units * d].reshape(batch, units, d), g, out=dest)
+                f *= sw / np.sqrt(d)
+                if sb != 0.0:
+                    f += sb * e[:, units * d:, None]
         else:
-            f = layer_step(config, g, e, None if x_cond is None else (g_x, f_cond[li]),
-                           out=dest)
+            cond = None
+            if x_cond is not None:
+                g_x = x_cond.T if li == 0 else phi(f_cond[li - 1])
+                cond = (g_x, f_cond[li])
+            f = layer_step(config, g, e, cond, out=dest)
         yield f
 
 
@@ -364,7 +366,7 @@ def prior_function_draws(
     ``forward(sample_prior(...), config, x)``.
 
     Draw i takes its normals, layer by layer as :func:`layer_normals` splits
-    them, starting with the first layer's weights and biases θ, from
+    them, starting with the first layer's weights W and then biases b, from
     substream ``s + i`` of the stream's key, ``s =
     stream.fresh_substream()``, and the stream is left at substream ``s +
     n_draws``: the result is deterministic given the stream, whatever

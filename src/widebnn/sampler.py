@@ -6,13 +6,13 @@ al., "Random123", SC'11): at n normals per proposal a block holds
 normals, and rows of 64 or more normals keep blocks of 64. Proposal i takes
 row ``i % G`` of ``GaussianStream(seed, i // G)``, which draws its block's
 rows in proposal order. G depends only on the config, the train points and
-the mode, never on the worker count. A row holds the parameter draw (or, in
-function mode, the normals of every layer at the train points, as
-:func:`network.layer_normals` splits them), then one extra normal mapped
-through the standard normal CDF to give the acceptance uniform. An accepted
-proposal i of function mode draws the eval-point normals of its
-function-space layers from ``GaussianStream(seed, 2**63 + i)``, a key space
-apart from the block ids and from ``experiments.DATASET_STREAM_ID`` (2**62).
+the mode, never on the worker count. A row holds the normals of every layer
+at the train points, as :func:`network.layer_normals` splits them, then one
+extra normal mapped through the standard normal CDF to give the acceptance
+uniform. An accepted proposal i draws the eval-point normals of its
+function-space layers, if it has any, from ``GaussianStream(seed, 2**63 +
+i)``, a key space apart from the block ids and from
+``experiments.DATASET_STREAM_ID`` (2**62).
 The accept test ``log u < log likelihood`` runs in linear space first and
 leaves near ties to ``log_ndtr`` (:func:`_accepted`). By default proposals
 run in chunks of whole blocks that hold about ``numkit.BATCH_FLOATS`` floats
@@ -22,30 +22,33 @@ discards the block's earlier rows (fewer than ``G * n``: below 8,192 normals
 for rows under 64 normals, 63 rows otherwise), so accepts do not depend on
 the chunk size.
 
-Two internal evaluation paths produce identically distributed results:
+One chunk runner draws every proposal layer by layer through
+:func:`network.sample_layers`, the layer loop that prior draws use too; the
+mode is only its per-layer rule. A weight-space layer takes its weights and
+biases as normals, W (units x fan_in) row-major then b as in
+:func:`network.sample_prior`, and its values are the NTK-convention forward
+pass of that layer, with no factorisation. A function-space layer is drawn
+from its exact conditional Gaussian given the previous layer (unit rows of
+each preactivation matrix are i.i.d. given it), ``m_train`` normals per
+unit. Both views give the same Gaussian (Rasmussen & Williams 2006,
+sections 2.1-2.2), so both modes are exact:
 
-* ``parameter`` draws the weight matrices literally and pushes them through
-  :func:`network.forward` under the NTK convention (and can record posterior
-  marginals of individual parameter coordinates);
-* ``function`` samples the network outputs at the train points directly from
-  their exact per-layer conditional Gaussians (unit rows of each
-  preactivation matrix are i.i.d. given the previous layer), layer by layer
-  through :func:`network.sample_layers`, the layer loop that prior draws use
-  too. A layer whose ``fan_in + 1`` weights per unit are no more than the
-  ``m_train`` train points is drawn in weight space: ``fan_in + 1`` normals
-  per unit, its weights and bias θ, times the previous layer's activations
-  with a bias row. Every other layer is drawn in function space, ``m_train``
-  normals per unit. So a proposal draws ``sum over layers of units * (fan_in
-  + 1 if fan_in + 1 <= m_train else m_train) + 1`` normals: 9, 105 and
-  10,005 at widths 1, 10 and 1000, depth 3 and 4 train points, against
-  17, 125 and 12,005 with every layer in function space. An accepted
-  proposal is extended to the eval points layer by layer: a weight-space
-  layer reuses its train θ (values θ times the eval activations, no
-  normals and no conditioning), and a function-space layer is conditioned
-  on its train values with ``m_eval`` fresh normals per unit.
-  This skips the O(width^2) weight materialisation, which is what makes
-  wide-network sweeps tractable, and is distributionally exact, not an
+* ``parameter`` puts every layer in weight space, so a row holds the flat
+  NTK parameter vector (raw N(0, 1) parameters under the NTK convention
+  induce the same functions as scaled ones under the standard convention),
+  which parameter recording indexes directly;
+* ``function`` puts a layer in weight space only when its ``fan_in + 1``
+  weights per unit are no more than the ``m_train`` train points. So a
+  proposal draws ``sum over layers of units * (fan_in + 1 if fan_in + 1 <=
+  m_train else m_train) + 1`` normals: 9, 105 and 10,005 at widths 1, 10
+  and 1000, depth 3 and 4 train points, against 17, 125 and 12,005 with
+  every layer in function space. Skipping the O(width^2) weights is what
+  makes wide-network sweeps tractable, and it is exact, not an
   approximation.
+
+An accepted proposal is extended to the eval points layer by layer: a
+weight-space layer reuses its train W and b, and a function-space layer is
+conditioned on its train values with ``m_eval`` fresh normals per unit.
 
 Every function-space layer covariance is factored by
 :func:`numkit.chol_batch`, the sampling route: a fixed ``1e-12 * (trace / n
@@ -68,7 +71,7 @@ mode can be the faster one at small widths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,8 +79,7 @@ import scipy.special
 
 from .errors import DimensionMismatch, InsufficientSamples
 from .likelihood import LikelihoodSpec, log_likelihood_batch
-from .network import (NetworkConfig, _split_flat, forward, layer_normals, normals_per_draw,
-                      reparametrise, sample_layers, weight_space)
+from .network import NetworkConfig, layer_normals, normals_per_draw, sample_layers, weight_space
 from .numkit import BATCH_FLOATS as _BATCH_BUDGET  # doubles held per gather batch
 from .numkit import GaussianStream, as_matrix, is_int, ordered_map
 
@@ -94,6 +96,8 @@ _BLOCK = 64  # proposals per Philox key at 64 or more normals per proposal
 _EVAL_KEYS = 1 << 63  # eval-point stream of proposal i: key _EVAL_KEYS + i
 _MARGIN = 1e-9  # relative gap of u and ell below which the log test decides
 _TINY = 1e-290  # u or ell below this is decided by the log test
+# Per mode, the rule that puts a layer of fan_in inputs at m points in weight space.
+_RULES = {"parameter": lambda fan_in, points: True, "function": weight_space}
 
 
 @dataclass
@@ -210,8 +214,8 @@ def _param_scales(config: NetworkConfig, indices: np.ndarray) -> np.ndarray:
         raise IndexError(f"parameter index {bad[0]} out of range")
     if config.parametrisation == "ntk":
         return np.ones(len(indices))
-    p = reparametrise(_split_flat(np.ones(config.n_params), config), config)
-    return np.concatenate([a.ravel() for wb in zip(p.weights, p.biases) for a in wb])[indices]
+    return np.concatenate([np.repeat([config.sigma_w / np.sqrt(i), config.sigma_b], [o * i, o])
+                           for o, i in config.layer_shapes])[indices]
 
 
 def _block_size(count: int) -> int:
@@ -261,13 +265,11 @@ def _gather(seed: int, lo: int, hi: int, count: int):
 
 
 def _normals_per_proposal(config: NetworkConfig, m_train: int, mode: str) -> int:
-    """Normals one proposal draws: every parameter, or every sampled layer at
-    the train points (:func:`network.layer_normals`: the weights and bias of
-    each unit of a weight-space layer, its train-point values otherwise);
-    each mode adds the acceptance normal."""
-    if mode == "parameter":
-        return config.n_params + 1
-    return normals_per_draw(config, m_train) + 1
+    """Normals one proposal draws: every sampled layer at the train points
+    under the mode's rule (:func:`network.normals_per_draw`: the weights and
+    biases of a weight-space layer, its train-point values otherwise, so
+    ``n_params`` in parameter mode), then the acceptance normal."""
+    return normals_per_draw(config, m_train, _RULES[mode]) + 1
 
 
 def _proposal_floats(config: NetworkConfig, m_train: int, mode: str) -> int:
@@ -301,60 +303,45 @@ def _slices(hit: np.ndarray, floats: int):
     return (hit[k:k + step] for k in range(0, hit.size, step))
 
 
-def _run_chunk_parameter(ntk, train_x, train_y, lik, eval_x, seed, lo, hi,
-                         indices, scales):
-    # ``ntk`` is the config under the NTK convention, made once per call.
-    n_par = ntk.n_params
-    acc = MomentAccumulator.zeros(eval_x.shape[0] * ntk.output_dim)
-    pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
-    lik_acc = MomentAccumulator.zeros(1)
-    per_accept = max(n_par, max(ntk.layer_dims) * eval_x.shape[0])
-    for _, z in _gather(seed, lo, hi,
-                        _normals_per_proposal(ntk, train_x.shape[0], "parameter")):
-        outs = forward(_split_flat(z[:, :n_par], ntk), ntk, train_x)
-        logl = log_likelihood_batch(lik, outs, train_y)
-        ell = np.exp(logl)
-        lik_acc.update_block(ell[:, None])
-        for part in _slices(_accepted(z[:, n_par], logl, ell), per_accept):
-            f_eval = forward(_split_flat(z[part, :n_par], ntk), ntk, eval_x)
-            acc.update_block(f_eval.reshape(part.size, -1))
-            if pstats is not None:
-                pstats.update_block(z[part][:, indices] * scales)
-    return acc, pstats, lik_acc
-
-
 def _eval_normals(z_eval: np.ndarray, train_normals, part: np.ndarray,
-                  config: NetworkConfig, mt: int, me: int):
+                  space: Sequence[bool], dims: Sequence[int], me: int):
     """Each sampled layer's normals for extending the proposals ``part`` to
-    ``me`` eval points: a layer drawn in weight space at the ``mt`` train
-    points reuses those proposals' θ from ``train_normals``; every other
-    layer takes its ``units * me`` normals from the rows of ``z_eval``, in
-    layer order."""
+    ``me`` eval points: a layer drawn in weight space (``space``) reuses
+    those proposals' W and b from ``train_normals``; every other layer takes
+    its ``units * me`` normals from the rows of ``z_eval``, in layer order."""
     off = 0
-    dims = config.layer_dims
     for l, theta in enumerate(train_normals):
-        if weight_space(dims[l], mt):
+        if space[l]:
             yield theta[part]
         else:
             yield z_eval[:, off:off + dims[l + 1] * me].reshape(z_eval.shape[0], dims[l + 1], me)
             off += dims[l + 1] * me
 
 
-def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi):
+def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indices, scales):
     mt, me = train_x.shape[0], eval_x.shape[0]
-    dims = config.layer_dims
-    units = sum(dims[1:])
-    eval_total = sum(dims[l + 1] * me for l in range(len(dims) - 1)
-                     if not weight_space(dims[l], mt))
+    rule, dims = _RULES[mode], config.layer_dims
+    depth = len(dims) - 1
+    space = [rule(dims[l], mt) for l in range(depth)]
+    # The eval extension conditions a function-space layer on its train
+    # values and on the train values of the layer before it.
+    kept = [not space[l] or (l + 1 < depth and not space[l + 1]) for l in range(depth)]
+    eval_total = sum(dims[l + 1] * me for l in range(depth) if not space[l])
+    count = _normals_per_proposal(config, mt, mode)
     acc = MomentAccumulator.zeros(me * config.output_dim)
+    pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
     lik_acc = MomentAccumulator.zeros(1)
-    per_accept = max(units, me) * me  # eval normals; me x me covariances
-    stream = GaussianStream(seed, _EVAL_KEYS + lo)
-    for pos, z in _gather(seed, lo, hi, _normals_per_proposal(config, mt, "function")):
-        train_normals = list(layer_normals(z, config, mt))
-        train_layers = list(sample_layers(config, train_x, train_normals))
-        outs = np.swapaxes(train_layers[-1], 1, 2)  # (b, m_t, p)
-        logl = log_likelihood_batch(lik, outs, train_y)
+    # An accepted proposal holds its train normals, its eval normals, one
+    # layer's eval values and, where a layer is conditioned, me x me
+    # covariances.
+    per_accept = max(count, eval_total, max(dims) * me, me * me if eval_total else 0)
+    stream = GaussianStream(seed, _EVAL_KEYS + lo) if eval_total else None
+    for pos, z in _gather(seed, lo, hi, count):
+        train_normals = list(layer_normals(z, config, mt, rule))
+        train_layers = []
+        for f, keep in zip(sample_layers(config, train_x, train_normals, rule=rule), kept):
+            train_layers.append(f if keep else None)
+        logl = log_likelihood_batch(lik, np.swapaxes(f, 1, 2), train_y)  # (b, m_t, p)
         ell = np.exp(logl)
         lik_acc.update_block(ell[:, None])
         for part in _slices(_accepted(z[:, -1], logl, ell), per_accept):
@@ -363,12 +350,14 @@ def _run_chunk_function(config, train_x, train_y, lik, eval_x, seed, lo, hi):
                 for j, local in enumerate(part):
                     stream.rekey(_EVAL_KEYS + pos + int(local))
                     stream.normal(eval_total, out=z_eval[j])
-            normals = _eval_normals(z_eval, train_normals, part, config, mt, me)
-            picked = [layer[part] for layer in train_layers]
-            for f_t in sample_layers(config, eval_x, normals, train_x, picked):
+            normals = _eval_normals(z_eval, train_normals, part, space, dims, me)
+            picked = [None if layer is None else layer[part] for layer in train_layers]
+            for f_e in sample_layers(config, eval_x, normals, train_x, picked, rule=rule):
                 pass
-            acc.update_block(np.swapaxes(f_t, 1, 2).reshape(part.size, -1))
-    return acc, None, lik_acc
+            acc.update_block(np.swapaxes(f_e, 1, 2).reshape(part.size, -1))
+            if pstats is not None:
+                pstats.update_block(z[part][:, indices] * scales)
+    return acc, pstats, lik_acc
 
 
 def rejection_sample(
@@ -389,6 +378,14 @@ def rejection_sample(
     Each proposal is an independent prior draw accepted with probability
     equal to its (sup-1) likelihood on the training set; accepted draws are
     exact i.i.d. samples from the posterior pushed through the network.
+
+    Every chunk runs through one runner, which draws each proposal layer by
+    layer with :func:`network.sample_layers`; ``mode`` is its per-layer
+    rule. ``"parameter"`` puts every layer in weight space, so a proposal's
+    normals are its flat NTK parameter vector (per layer W row-major, then
+    b), which ``record_params`` indexes; ``"function"`` puts a layer in
+    weight space only when ``fan_in + 1 <= m_train`` and draws the others
+    in function space; ``"auto"`` picks by ``_proposal_floats``.
 
     The default ``chunk_size`` holds ``numkit.BATCH_FLOATS // f`` proposals
     at ``f`` train-path floats per proposal (``_proposal_floats``), rounded
@@ -427,7 +424,7 @@ def rejection_sample(
         fewer = (_proposal_floats(config, mt, "parameter")
                  <= _proposal_floats(config, mt, "function"))
         mode = "parameter" if record_params is not None or fewer else "function"
-    if mode not in ("parameter", "function"):
+    if mode not in _RULES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "function" and record_params is not None:
         raise ValueError("parameter recording requires mode='parameter'")
@@ -441,18 +438,10 @@ def rejection_sample(
         indices = np.asarray(list(record_params), dtype=np.intp)
         scales = _param_scales(config, indices)
 
-    if mode == "function":
-        runner, run_config, extra = _run_chunk_function, config, ()
-    else:
-        # Raw N(0,1) parameters under the NTK convention induce the same
-        # functions as scaled ones under the standard convention, so both
-        # run as NTK.
-        runner, extra = _run_chunk_parameter, (indices, scales)
-        run_config = replace(config, parametrisation="ntk")
-
     def run(lo):
         hi = min(lo + chunk_size, n_proposals)
-        return runner(run_config, train_x, train_y, likelihood, eval_x, seed, lo, hi, *extra)
+        return _run_chunk(config, train_x, train_y, likelihood, eval_x, seed, lo, hi,
+                          mode, indices, scales)
 
     acc = MomentAccumulator.zeros(eval_x.shape[0] * config.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None

@@ -147,8 +147,10 @@ class TestForward:
 
 
 class TestBatchedForward:
-    """A stack of parameter sets runs its shared-input first layer as one
-    matrix product; it must equal one ``forward`` call per set."""
+    """A stack of flat parameter vectors drawn by ``sample_layers`` with every
+    layer in weight space is the batched NTK forward pass, its shared-input
+    first layer one matrix product; it must equal one ``forward`` call per
+    set."""
 
     @pytest.mark.parametrize("parametrisation", ["standard", "ntk"])
     @pytest.mark.parametrize("sigma_b", [0.0, 0.4])
@@ -157,16 +159,19 @@ class TestBatchedForward:
     def test_matches_one_set_at_a_time(self, parametrisation, sigma_b, depth, input_dim):
         cfg = NetworkConfig(depth=depth, input_dim=input_dim, output_dim=2, hidden_width=7,
                             sigma_b=sigma_b, parametrisation=parametrisation)
+        ntk = dataclasses.replace(cfg, parametrisation="ntk")
         rng = np.random.default_rng(depth * 10 + input_dim)
         flat = rng.standard_normal((9, cfg.n_params + 1))[:, :-1]  # strided, as in the sampler
         x = rng.standard_normal((6, input_dim))
-        batched = forward(network._split_flat(flat, cfg), cfg, x)
-        stacked = np.stack([forward(network._split_flat(f, cfg), cfg, x) for f in flat])
+        everywhere = lambda fan_in, points: True  # noqa: E731
+        assert network.normals_per_draw(cfg, 6, everywhere) == cfg.n_params
+        for f in network.sample_layers(cfg, x, network.layer_normals(flat, cfg, 6, everywhere),
+                                       rule=everywhere):
+            pass
+        batched = np.swapaxes(f, 1, 2)
+        stacked = np.stack([forward(network._split_flat(p, ntk), ntk, x) for p in flat])
         assert batched.shape == (9, 6, 2)
-        if input_dim == 1:  # every layer-1 dot product has one term
-            assert np.array_equal(batched, stacked)
-        else:
-            np.testing.assert_allclose(batched, stacked, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(batched, stacked, rtol=1e-14, atol=1e-14)
 
 
 class TestLayerCov:
@@ -211,16 +216,16 @@ class TestPriorFunctionDraws:
         assert rel_frobenius(np.atleast_2d(np.cov(f.T)), k) < bound
 
     def test_draw_starts_with_the_first_layers_weights_and_bias(self):
-        # Layer 1 at 1-D inputs on 3 points takes (w, b) per unit, so
-        # f = sigma_w * w * x + sigma_b * b; the output layer (fan-in 4)
-        # takes its 3 values' normals.
+        # Layer 1 at 1-D inputs on 3 points takes its weights W, then its
+        # biases b, so f = sigma_w * W x + sigma_b * b; the output layer
+        # (fan-in 4) takes its 3 values' normals.
         cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)
         x = np.array([[0.5], [-0.25], [2.0]])
         assert network.normals_per_draw(cfg, 3) == 4 * 2 + 1 * 3
         row = GaussianStream(3, 1).normal(11)[None]
         layers = list(network.sample_layers(cfg, x, network.layer_normals(row, cfg, 3)))
-        theta = row[0, :8].reshape(4, 2)
-        want = cfg.sigma_w * theta[:, :1] * x.T + cfg.sigma_b * theta[:, 1:]
+        w, b = row[0, :4].reshape(4, 1), row[0, 4:8].reshape(4, 1)
+        want = cfg.sigma_w * w * x.T + cfg.sigma_b * b
         np.testing.assert_allclose(layers[0][0], want, rtol=1e-14, atol=1e-14)
         draw = prior_function_draws(cfg, x, 1, GaussianStream(3, 1))
         assert np.array_equal(draw[0], layers[-1][0].T)

@@ -270,6 +270,29 @@ class TestRejectionSampler:
         scale = np.abs(rp.posterior_mean).max()
         assert np.abs(rp.posterior_mean - rf.posterior_mean).max() < 0.1 * scale
 
+    @pytest.mark.parametrize("case", ["oracle", "depth 3 width 1"])
+    def test_modes_coincide_when_every_layer_has_one_unit(self, case):
+        # Every layer has fan-in 1 (the oracle) or one unit, so both rules
+        # put every layer in weight space, and the two modes draw the same
+        # normals into the same layers. The default chunks are sized per
+        # mode, so both runs take the same explicit size.
+        if case == "oracle":
+            cfg, tx, ty, ex = linear_config(), TX, TY, EX
+        else:
+            cfg = NetworkConfig(depth=3, input_dim=1, output_dim=1, hidden_width=1)
+            tx = np.linspace(-np.pi, np.pi, 4)[:, None]
+            ty, ex = np.sin(tx), np.linspace(-np.pi, np.pi, 7)[:, None]
+        lik = LikelihoodSpec("gaussian", sigma2=0.5)
+        kw = dict(n_proposals=20_000, seed=6, chunk_size=3_000)
+        rp = rejection_sample(cfg, tx, ty, lik, ex, mode="parameter", **kw)
+        rf = rejection_sample(cfg, tx, ty, lik, ex, mode="function", **kw)
+        assert rp.mode == "parameter" and rf.mode == "function"
+        assert rp.moments_valid and rp.accepts == rf.accepts
+        assert rp.posterior_mean.tobytes() == rf.posterior_mean.tobytes()
+        assert rp.posterior_cov.tobytes() == rf.posterior_cov.tobytes()
+        assert rp.mean_likelihood == rf.mean_likelihood
+        assert rp.mean_likelihood_se == rf.mean_likelihood_se
+
     def test_auto_mode_switches_on_size(self):
         cfg_small = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=5)
         r = rejection_sample(cfg_small, TX, TY, LIK, EX, 512, seed=0)
@@ -411,7 +434,7 @@ def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n,
                         nonlinearity="erf")
     tx = np.linspace(-1, 1, m)[:, None]
     spans = []
-    name = f"_run_chunk_{mode}"
+    name = "_run_chunk"
 
     def spy(config, train_x, train_y, lik, eval_x, seed, lo, hi, *extra):
         spans.append((lo, hi))
@@ -531,7 +554,7 @@ def test_at_most_two_chunks_per_worker_are_in_flight(monkeypatch):
 
 def test_failing_chunk_cancels_queued_chunks(monkeypatch):
     started = []
-    runner = sampler._run_chunk_parameter
+    runner = sampler._run_chunk
 
     def failing(config, train_x, train_y, lik, eval_x, seed, lo, hi, *extra):
         started.append(lo)
@@ -539,7 +562,7 @@ def test_failing_chunk_cancels_queued_chunks(monkeypatch):
             raise FloatingPointError("chunk failed")
         return runner(config, train_x, train_y, lik, eval_x, seed, lo, hi, *extra)
 
-    monkeypatch.setattr(sampler, "_run_chunk_parameter", failing)
+    monkeypatch.setattr(sampler, "_run_chunk", failing)
     with pytest.raises(FloatingPointError, match="chunk failed"):
         rejection_sample(linear_config(), TX, TY, LIK, EX, 100 * 64, seed=5,
                          chunk_size=64, workers=2)
@@ -620,3 +643,35 @@ class TestAcceptTest:
         z = rng.standard_normal(n) * rng.choice([1.0, 3.0, 12.0], n)
         logl = -rng.exponential(1.0, n) * rng.choice([1e-3, 1.0, 30.0, 700.0], n)
         self.check(z, logl)
+
+
+# Parameter-mode results recorded before parameter mode became the one chunk
+# runner with every layer in weight space: the same normals, the same
+# accepts and the same recorded parameters.
+@pytest.mark.parametrize("seed,accepts", [(0, 609), (1, 615), (2, 564), (3, 627), (4, 561)])
+def test_parameter_mode_oracle_accepts_are_pinned(seed, accepts):
+    report = rejection_sample(linear_config(), TX, TY, LIK, EX, 5_000, seed=seed)
+    assert report.mode == "parameter" and report.accepts == accepts
+
+
+@pytest.mark.parametrize("parametrisation,stats", [
+    ("standard", {0: (0.029276370267983246, 0.6211369460751679),
+                  5: (-0.009463795046672363, 0.6057581935802017),
+                  91: (0.09866272529317023, 0.07608864721585096)}),
+    ("ntk", {0: (0.03585608433867368, 0.9317054191127517),
+             5: (-0.011590734447313112, 0.9086372903703019),
+             91: (0.3119989320859219, 0.7608864721585098)}),
+])
+def test_parameter_mode_recorded_params_are_pinned(parametrisation, stats):
+    cfg = NetworkConfig(depth=2, input_dim=3, output_dim=1, hidden_width=7,
+                        parametrisation=parametrisation)
+    tx = np.array([[-1.0, 0.5, 0.2], [0.3, -0.4, 1.0], [0.8, 0.1, -0.6], [-0.2, 0.9, 0.4]])
+    ex = np.array([[0.1, 0.2, 0.3], [-0.5, 0.0, 0.5]])
+    lik = LikelihoodSpec("gaussian", sigma2=0.25)
+    report = rejection_sample(cfg, tx, np.sin(tx.sum(axis=1, keepdims=True)), lik, ex,
+                              20_000, seed=7, record_params=[0, 5, cfg.n_params - 1])
+    assert cfg.n_params == 92 and report.mode == "parameter"
+    assert report.accepts == 518
+    assert report.recorded_param_stats.keys() == stats.keys()
+    for idx, (mean, var) in stats.items():
+        np.testing.assert_allclose(report.recorded_param_stats[idx], (mean, var), rtol=1e-12)
