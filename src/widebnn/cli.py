@@ -124,6 +124,7 @@ def _cmd_sample(args) -> int:
         "mode": report.mode,
         "mean_likelihood": report.mean_likelihood,
         "mean_likelihood_se": report.mean_likelihood_se,
+        "survivors": report.survivors,
     }
     if report.moments_valid:
         doc["posterior_mean"] = report.posterior_mean.tolist()

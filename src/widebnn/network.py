@@ -228,7 +228,11 @@ def layer_step(config: NetworkConfig, g: np.ndarray, e: np.ndarray,
     g_x, f_x = cond
     c_xx = layer_cov(g_x, d_in, sw, sb)
     c_xt = (sw ** 2 / d_in) * (np.swapaxes(g_x, -1, -2) @ g) + sb ** 2
-    a_mat = scipy.linalg.cho_solve((chol_batch(c_xx), True), c_xt, check_finite=False)
+    if c_xx.shape[-1] == 1:  # one point: OpenBLAS's potrs, without cho_solve's
+        inv = 1.0 / chol_batch(c_xx)  # Python loop over the batch
+        a_mat = c_xt * inv * inv
+    else:
+        a_mat = scipy.linalg.cho_solve((chol_batch(c_xx), True), c_xt, check_finite=False)
     schur = c_tt - np.swapaxes(c_xt, -1, -2) @ a_mat
     return f_x @ a_mat + e @ np.swapaxes(chol_batch(schur), -1, -2)
 

@@ -1,18 +1,18 @@
 """Exact posterior sampling of the finite BNN by rejection against the prior.
 
 Proposals are keyed in blocks of fixed work (Philox keying as in Salmon et
-al., "Random123", SC'11): at n normals per proposal a block holds
+al., "Random123", SC'11): at n normals per block row a block holds
 ``G = 64 * ceil(64 / n)`` proposals, so every key draws at least 4,096
 normals, and rows of 64 or more normals keep blocks of 64. Proposal i takes
 row ``i % G`` of ``GaussianStream(seed, i // G)``, which draws its block's
 rows in proposal order. G depends only on the config, the train points and
 the mode, never on the worker count. A row holds the normals of every layer
-at the train points, as :func:`network.layer_normals` splits them, then one
-extra normal mapped through the standard normal CDF to give the acceptance
-uniform. An accepted proposal i draws the eval-point normals of its
-function-space layers, if it has any, from ``GaussianStream(seed, 2**63 +
-i)``, a key space apart from the block ids and from
-``experiments.DATASET_STREAM_ID`` (2**62).
+at the stage-1 train points (below), as :func:`network.layer_normals`
+splits them, then one extra normal mapped through the standard normal CDF to
+give the acceptance uniform. Proposal i draws its other normals from its
+own key ``(seed, 2**63 + i)``, apart from the block ids and from
+``experiments.DATASET_STREAM_ID`` (2**62): stage 2 from substream 1, the
+eval points of its function-space layers, once accepted, from substream 0.
 The accept test ``log u < log likelihood`` runs in linear space first and
 leaves near ties to ``log_ndtr`` (:func:`_accepted`). By default proposals
 run in chunks of whole blocks that hold about ``numkit.BATCH_FLOATS`` floats
@@ -24,49 +24,55 @@ the chunk size.
 
 One chunk runner draws every proposal layer by layer through
 :func:`network.sample_layers`, the layer loop that prior draws use too; the
-mode is only its per-layer rule. A weight-space layer takes its weights and
-biases as normals, W (units x fan_in) row-major then b as in
-:func:`network.sample_prior`, and its values are the NTK-convention forward
-pass of that layer, with no factorisation. A function-space layer is drawn
-from its exact conditional Gaussian given the previous layer (unit rows of
-each preactivation matrix are i.i.d. given it), ``m_train`` normals per
-unit. Both views give the same Gaussian (Rasmussen & Williams 2006,
-sections 2.1-2.2), so both modes are exact:
+mode is only its per-layer rule, decided at the ``m_train`` train points. A
+weight-space layer takes its weights and biases as normals, W (units x
+fan_in) row-major then b as in :func:`network.sample_prior`, and its values
+are the NTK-convention forward pass of that layer, with no factorisation. A
+function-space layer is drawn from its exact conditional Gaussian given the
+previous layer (unit rows of each preactivation matrix are i.i.d. given
+it), one normal per unit and point. Both views give the same Gaussian
+(Rasmussen & Williams 2006, sections 2.1-2.2), so both modes are exact:
 
 * ``parameter`` puts every layer in weight space, so a row holds the flat
   NTK parameter vector (raw N(0, 1) parameters under the NTK convention
   induce the same functions as scaled ones under the standard convention),
   which parameter recording indexes directly;
 * ``function`` puts a layer in weight space only when its ``fan_in + 1``
-  weights per unit are no more than the ``m_train`` train points. So a
-  proposal draws ``sum over layers of units * (fan_in + 1 if fan_in + 1 <=
-  m_train else m_train) + 1`` normals: 9, 105 and 10,005 at widths 1, 10
+  weights per unit are no more than the ``m_train`` train points. So a whole
+  train path takes ``sum over layers of units * (fan_in + 1 if fan_in + 1
+  <= m_train else m_train) + 1`` normals: 9, 105 and 10,005 at widths 1, 10
   and 1000, depth 3 and 4 train points, against 17, 125 and 12,005 with
-  every layer in function space. Skipping the O(width^2) weights is what
-  makes wide-network sweeps tractable, and it is exact, not an
-  approximation.
+  every layer in function space.
 
-An accepted proposal is extended to the eval points layer by layer: a
-weight-space layer reuses its train W and b, and a function-space layer is
-conditioned on its train values with ``m_eval`` fresh normals per unit.
+Each likelihood factor is at most 1, so ``u >= l_p`` at one train point p
+rejects a proposal exactly (delayed acceptance, Christen & Fox 2005). With
+a function-space layer and two or more train points, stage 1 draws each
+function-space layer at p alone, one normal per unit (rows of 4,002
+normals at width 1000, 42 at width 10), and screens out ``u >= l_p``; p
+has the least survival ``E[l_i]`` under the NNGP marginal ``f_i ~ N(0,
+K_ii)`` (:func:`_survival`; the lowest index on a tie). Stage 2 extends each
+survivor from p to the other train points by the conditioned route of
+:func:`network.sample_layers`, ``m_train - 1`` normals per function-space
+unit, weight-space layers reusing their W and b, and tests ``u < l_p *
+l_rest``. About 21% survive at sigma2 = 0.1 on the default sweep's data, so
+width 1000 takes about 4,002 + 0.21 * 6,003 normals instead of 10,005. The
+evidence estimate is the mean of ``1{u < l_p} * l_rest`` (Horvitz &
+Thompson 1952), unbiased since ``P(u < l_p | f) = l_p``. An accepted
+proposal is extended to the eval points given every train point, p first:
+weight-space layers reuse their W and b, function-space layers take
+``m_eval`` fresh normals per unit.
 
 Every function-space layer covariance is factored by
-:func:`numkit.chol_batch`, the sampling route: a fixed ``1e-12 * (trace / n
-+ 1)`` jitter and one attempt, so a covariance that still fails raises
-``NotPositiveDefinite`` rather than being factored with a larger jitter;
-weight-space layers factor nothing. The closed forms that the samples are
-compared with use :func:`numkit.cholesky` instead, which does not accept a
-singular matrix.
+:func:`numkit.chol_batch` (a fixed jitter, one attempt, else
+``NotPositiveDefinite``); weight-space layers factor nothing. The closed
+forms the samples are compared with use :func:`numkit.cholesky`, which
+does not accept a singular matrix.
 
 ``mode="auto"`` picks the mode that holds fewer floats per proposal on the
-train path (``_proposal_floats``), which also sizes the default chunks:
-``parameter`` holds its ``n_params + 1`` normals, ``function`` the train
-values of every layer, ``(depth * width + output_dim) * m_train + 1``, at
-least its normals. It picks ``parameter`` on a tie and whenever parameter
-recording is requested. The counts leave out the accept path, where
-function mode conditions every accepted proposal's function-space layers
-on its train path, so at acceptance rates of a percent or more parameter
-mode can be the faster one at small widths.
+train path (``_proposal_floats``), which also sizes the default chunks, and
+``parameter`` on a tie or for parameter recording. The counts leave out the
+accept path, so at acceptance rates of a percent or more parameter mode
+can be the faster one at small widths.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ import numpy as np
 import scipy.special
 
 from .errors import DimensionMismatch, InsufficientSamples
+from .kernels import nngp_kernel
 from .likelihood import LikelihoodSpec, log_likelihood_batch
 from .network import NetworkConfig, layer_normals, normals_per_draw, sample_layers, weight_space
 from .numkit import BATCH_FLOATS as _BATCH_BUDGET  # doubles held per gather batch
@@ -93,7 +100,8 @@ __all__ = [
 ]
 
 _BLOCK = 64  # proposals per Philox key at 64 or more normals per proposal
-_EVAL_KEYS = 1 << 63  # eval-point stream of proposal i: key _EVAL_KEYS + i
+_EVAL_KEYS = 1 << 63  # proposal i's own key is _EVAL_KEYS + i: eval normals at
+_TAIL_SUBSTREAM = 1  # substream 0, stage-2 normals at this one
 _MARGIN = 1e-9  # relative gap of u and ell below which the log test decides
 _TINY = 1e-290  # u or ell below this is decided by the log test
 # Per mode, the rule that puts a layer of fan_in inputs at m points in weight space.
@@ -191,6 +199,10 @@ class SamplerReport:
     ``moments_valid`` is False when fewer than two proposals were accepted;
     a zero-accept run is reported, not raised, so sweeps can surface it as
     an ``accepts = 0`` row.
+    ``survivors`` counts the proposals that pass stage 1 (all when nothing
+    is screened). ``mean_likelihood`` then averages ``1{u < l_p} * l_rest``:
+    unbiased, with 1.5-2.0 times the plain mean's variance at widths
+    10-1000, sigma2 = 0.1; 0.0 with no standard error if none survives.
     """
 
     proposals: int
@@ -205,6 +217,7 @@ class SamplerReport:
     # rate, and its Monte Carlo standard error (None below two proposals).
     mean_likelihood: Optional[float] = None
     mean_likelihood_se: Optional[float] = None
+    survivors: Optional[int] = None
 
 
 def _param_scales(config: NetworkConfig, indices: np.ndarray) -> np.ndarray:
@@ -264,23 +277,47 @@ def _gather(seed: int, lo: int, hi: int, count: int):
         pos = end
 
 
-def _normals_per_proposal(config: NetworkConfig, m_train: int, mode: str) -> int:
-    """Normals one proposal draws: every sampled layer at the train points
-    under the mode's rule (:func:`network.normals_per_draw`: the weights and
-    biases of a weight-space layer, its train-point values otherwise, so
-    ``n_params`` in parameter mode), then the acceptance normal."""
-    return normals_per_draw(config, m_train, _RULES[mode]) + 1
+def _rule_at(mode: str, m_train: int):
+    """The mode's rule decided at ``m_train`` points, whatever points a stage draws."""
+    return lambda fan_in, points: _RULES[mode](fan_in, m_train)
+
+
+def _layout(config: NetworkConfig, m_train: int, mode: str):
+    """Per sampled layer, whether the mode's rule puts it in weight space, and
+    whether a conditioned extension reads its values at the conditioning
+    points: a function-space layer and the layer before it."""
+    space = [_RULES[mode](d, m_train) for d in config.layer_dims[:-1]]
+    return space, [not w or (l + 1 < len(space) and not space[l + 1]) for l, w in enumerate(space)]
+
+
+def _normals_per_proposal(config: NetworkConfig, m_train: int, mode: str,
+                          points: Optional[int] = None) -> int:
+    """Normals one proposal draws at ``points`` train points (all ``m_train``
+    by default) under the mode's rule at ``m_train``
+    (:func:`network.normals_per_draw`), then the acceptance normal."""
+    m = m_train if points is None else points
+    return normals_per_draw(config, m, _rule_at(mode, m_train)) + 1
 
 
 def _proposal_floats(config: NetworkConfig, m_train: int, mode: str) -> int:
     """Floats one proposal holds on the train path, which size the default
-    chunks and decide ``mode="auto"``: its normals in parameter mode; in
-    function mode every sampled layer's train-point values, which the eval
-    extension keeps and which are at least its normals. Each mode adds the
-    acceptance normal."""
-    if mode == "parameter":
-        return config.n_params + 1
-    return sum(config.layer_dims[1:]) * m_train + 1
+    chunks and decide ``mode="auto"``: a layer's train values if the eval
+    extension keeps them (they are at least its normals), else its normals
+    (``n_params`` in parameter mode); then the acceptance normal."""
+    dims = config.layer_dims
+    return sum(dims[l + 1] * (m_train if keep else dims[l] + 1)
+               for l, keep in enumerate(_layout(config, m_train, mode)[1])) + 1
+
+
+def _survival(config: NetworkConfig, train_x: np.ndarray, train_y: np.ndarray,
+              lik: LikelihoodSpec) -> np.ndarray:
+    """Each train point's survival ``E[l_i]`` under the NNGP marginal ``f_i ~
+    N(0, K_ii)``: per Gaussian output ``sqrt(s2 / (s2 + K_ii)) * exp(-y^2 /
+    (2 (s2 + K_ii)))``; 1/C for the categorical, by symmetry."""
+    if lik.kind != "gaussian":
+        return np.full(train_x.shape[0], 1.0 / lik.num_classes)
+    var = np.diag(nngp_kernel(config, train_x, train_x))[:, None] + lik.sigma2
+    return np.prod(np.sqrt(lik.sigma2 / var) * np.exp(-0.5 * train_y ** 2 / var), axis=1)
 
 
 def _accepted(z: np.ndarray, logl: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -297,16 +334,26 @@ def _accepted(z: np.ndarray, logl: np.ndarray, ell: np.ndarray) -> np.ndarray:
 
 
 def _slices(hit: np.ndarray, floats: int):
-    """Cut the accepted rows ``hit`` into slices whose arrays hold at most
+    """Cut the rows ``hit`` into slices whose arrays hold at most
     ``_BATCH_BUDGET`` floats at ``floats`` per proposal (one row if larger)."""
     step = max(1, _BATCH_BUDGET // floats)
     return (hit[k:k + step] for k in range(0, hit.size, step))
 
 
+def _keyed_normals(stream: GaussianStream, keys: np.ndarray, substream: int,
+                   total: int) -> np.ndarray:
+    """Row j: ``total`` normals from ``substream`` of key ``_EVAL_KEYS + keys[j]``."""
+    z = np.empty((keys.size, total))
+    for j, key in enumerate(keys if total else ()):
+        stream.rekey(_EVAL_KEYS + int(key), substream)
+        stream.normal(total, out=z[j])
+    return z
+
+
 def _eval_normals(z_eval: np.ndarray, train_normals, part: np.ndarray,
                   space: Sequence[bool], dims: Sequence[int], me: int):
     """Each sampled layer's normals for extending the proposals ``part`` to
-    ``me`` eval points: a layer drawn in weight space (``space``) reuses
+    ``me`` new points: a layer drawn in weight space (``space``) reuses
     those proposals' W and b from ``train_normals``; every other layer takes
     its ``units * me`` normals from the rows of ``z_eval``, in layer order."""
     off = 0
@@ -318,45 +365,63 @@ def _eval_normals(z_eval: np.ndarray, train_normals, part: np.ndarray,
             off += dims[l + 1] * me
 
 
-def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indices, scales):
+def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indices, scales,
+               screen=None):
     mt, me = train_x.shape[0], eval_x.shape[0]
-    rule, dims = _RULES[mode], config.layer_dims
-    depth = len(dims) - 1
-    space = [rule(dims[l], mt) for l in range(depth)]
-    # The eval extension conditions a function-space layer on its train
-    # values and on the train values of the layer before it.
-    kept = [not space[l] or (l + 1 < depth and not space[l + 1]) for l in range(depth)]
-    eval_total = sum(dims[l + 1] * me for l in range(depth) if not space[l])
-    count = _normals_per_proposal(config, mt, mode)
+    dims = config.layer_dims
+    rule = _rule_at(mode, mt)
+    space, kept = _layout(config, mt, mode)
+    # Stage 1 draws the `head` train points (the screening point, or all of
+    # them), stage 2 a survivor's `tail`; the eval extension takes both.
+    order, mh = np.arange(mt), mt
+    if screen is not None:
+        order, mh = np.r_[screen, np.delete(order, screen)], 1
+    cond_x, y = train_x[order], train_y[order]
+    head, y_head, tail, y_tail = cond_x[:mh], y[:mh], cond_x[mh:], y[mh:]
+    mr = mt - mh
+    units = sum(dims[l + 1] for l in range(len(space)) if not space[l])  # in function space
+    tail_total, eval_total = units * mr, units * me
+    count = _normals_per_proposal(config, mt, mode, mh)
     acc = MomentAccumulator.zeros(me * config.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
-    lik_acc = MomentAccumulator.zeros(1)
-    # An accepted proposal holds its train normals, its eval normals, one
-    # layer's eval values and, where a layer is conditioned, me x me
-    # covariances.
+    lik_acc = MomentAccumulator.zeros(1)  # over the survivors; the others add zeros
+    # Floats held per survivor (stage-2 normals, a layer's train values) and
+    # per accept (eval normals, a layer's eval values, me x me covariances).
     per_accept = max(count, eval_total, max(dims) * me, me * me if eval_total else 0)
-    stream = GaussianStream(seed, _EVAL_KEYS + lo) if eval_total else None
+    per_live = max(count, tail_total, max(dims) * mt) if mr else per_accept
+    stream = GaussianStream(seed, _EVAL_KEYS + lo) if eval_total or tail_total else None
     for pos, z in _gather(seed, lo, hi, count):
-        train_normals = list(layer_normals(z, config, mt, rule))
-        train_layers = []
-        for f, keep in zip(sample_layers(config, train_x, train_normals, rule=rule), kept):
-            train_layers.append(f if keep else None)
-        logl = log_likelihood_batch(lik, np.swapaxes(f, 1, 2), train_y)  # (b, m_t, p)
+        train_normals = list(layer_normals(z, config, mh, rule))
+        head_layers = []
+        for f, keep in zip(sample_layers(config, head, train_normals, rule=rule), kept):
+            head_layers.append(f if keep else None)
+        logl = log_likelihood_batch(lik, np.swapaxes(f, 1, 2), y_head)  # (b, m, p)
         ell = np.exp(logl)
-        lik_acc.update_block(ell[:, None])
-        for part in _slices(_accepted(z[:, -1], logl, ell), per_accept):
-            z_eval = np.empty((part.size, eval_total))
-            if eval_total:
-                for j, local in enumerate(part):
-                    stream.rekey(_EVAL_KEYS + pos + int(local))
-                    stream.normal(eval_total, out=z_eval[j])
-            normals = _eval_normals(z_eval, train_normals, part, space, dims, me)
-            picked = [None if layer is None else layer[part] for layer in train_layers]
-            for f_e in sample_layers(config, eval_x, normals, train_x, picked, rule=rule):
-                pass
-            acc.update_block(np.swapaxes(f_e, 1, 2).reshape(part.size, -1))
-            if pstats is not None:
-                pstats.update_block(z[part][:, indices] * scales)
+        if not mr:
+            lik_acc.update_block(ell[:, None])
+        for part in _slices(_accepted(z[:, -1], logl, ell), per_live):
+            layers = [None if f is None else f[part] for f in head_layers]
+            if mr:  # stage 2: the survivors `part` at the other train points
+                z_tail = _keyed_normals(stream, pos + part, _TAIL_SUBSTREAM, tail_total)
+                normals = _eval_normals(z_tail, train_normals, part, space, dims, mr)
+                tail_layers = list(sample_layers(config, tail, normals, head, layers, rule=rule))
+                logl_tail = log_likelihood_batch(lik, np.swapaxes(tail_layers[-1], 1, 2), y_tail)
+                lik_acc.update_block(np.exp(logl_tail)[:, None])
+                logl_all = logl[part] + logl_tail
+                hit = _accepted(z[part, -1], logl_all, np.exp(logl_all))
+                part = part[hit]
+                layers = [None if f is None else np.concatenate([f[hit], f_t[hit]], axis=-1)
+                          for f, f_t in zip(layers, tail_layers)]
+            for sub in _slices(np.arange(part.size), per_accept):
+                rows = part[sub]
+                z_eval = _keyed_normals(stream, pos + rows, 0, eval_total)
+                normals = _eval_normals(z_eval, train_normals, rows, space, dims, me)
+                picked = [None if f is None else f[sub] for f in layers]
+                for f_e in sample_layers(config, eval_x, normals, cond_x, picked, rule=rule):
+                    pass
+                acc.update_block(np.swapaxes(f_e, 1, 2).reshape(rows.size, -1))
+                if pstats is not None:
+                    pstats.update_block(z[rows][:, indices] * scales)
     return acc, pstats, lik_acc
 
 
@@ -385,12 +450,13 @@ def rejection_sample(
     normals are its flat NTK parameter vector (per layer W row-major, then
     b), which ``record_params`` indexes; ``"function"`` puts a layer in
     weight space only when ``fan_in + 1 <= m_train`` and draws the others
-    in function space; ``"auto"`` picks by ``_proposal_floats``.
+    in function space; ``"auto"`` picks by ``_proposal_floats``. Proposals
+    are screened at one train point first where the module docstring says.
 
     The default ``chunk_size`` holds ``numkit.BATCH_FLOATS // f`` proposals
     at ``f`` train-path floats per proposal (``_proposal_floats``), rounded
     down to whole Philox blocks of ``64 * ceil(64 / n)`` proposals at ``n``
-    normals per proposal and at least one block, so it depends only on the
+    normals per block row and at least one block, so it depends only on the
     config, ``train_x`` and the mode. With ``workers > 1`` at
     most ``2 * workers`` chunks are submitted ahead of the merge; a failing
     chunk cancels the queued ones. Accepted proposals are extended to
@@ -428,8 +494,11 @@ def rejection_sample(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "function" and record_params is not None:
         raise ValueError("parameter recording requires mode='parameter'")
+    screen = None  # stage 1 screens at this train point; None: one stage
+    if mt >= 2 and not all(_layout(config, mt, mode)[0]):
+        screen = int(np.argmin(_survival(config, train_x, train_y, likelihood)))
     if chunk_size is None:
-        block = _block_size(_normals_per_proposal(config, mt, mode))
+        block = _block_size(_normals_per_proposal(config, mt, mode, mt if screen is None else 1))
         per_chunk = _BATCH_BUDGET // _proposal_floats(config, mt, mode)
         chunk_size = max(block, per_chunk - per_chunk % block)
 
@@ -441,7 +510,7 @@ def rejection_sample(
     def run(lo):
         hi = min(lo + chunk_size, n_proposals)
         return _run_chunk(config, train_x, train_y, likelihood, eval_x, seed, lo, hi,
-                          mode, indices, scales)
+                          mode, indices, scales, screen)
 
     acc = MomentAccumulator.zeros(eval_x.shape[0] * config.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
@@ -454,6 +523,10 @@ def rejection_sample(
         if pstats is not None:
             pstats.merge_in(chunk_pstats)
     n = n_proposals
+    # Each proposal screened out adds a zero to the evidence.
+    survivors = lik_acc.count
+    lik_acc.merge_in(MomentAccumulator(n - survivors, np.zeros(1), np.zeros((1, 1))))
+    se = float(np.sqrt(lik_acc.scatter[0, 0] / (n - 1) / n)) if n > 1 and survivors else None
 
     if acc.count >= 2:
         mean, cov = finalize(acc)
@@ -482,5 +555,6 @@ def rejection_sample(
         recorded_param_stats=recorded,
         mode=mode,
         mean_likelihood=float(lik_acc.mean[0]),
-        mean_likelihood_se=float(np.sqrt(lik_acc.scatter[0, 0] / (n - 1) / n)) if n > 1 else None,
+        mean_likelihood_se=se,
+        survivors=survivors,
     )

@@ -362,6 +362,20 @@ class TestCli:
         assert 0.0 < doc["mean_likelihood"] < 1.0 / 50
         assert doc["mean_likelihood_se"] > 0.0
 
+    def test_sample_reports_the_survivors(self, tmp_path, capsys):
+        # Depth 1 runs in parameter mode and screens nothing; at depth 2 the
+        # function-space layers are screened at one train point first.
+        cfg = self.write_config(tmp_path)
+        assert cli.main(["sample", "--config", str(cfg), "--width", "8"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mode"] == "parameter" and doc["survivors"] == doc["proposals"]
+        cfg = self.write_config(tmp_path, network={"depth": 2, "input_dim": 1,
+                                                   "output_dim": 1})
+        assert cli.main(["sample", "--config", str(cfg), "--width", "8"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mode"] == "function"
+        assert doc["accepts"] <= doc["survivors"] < doc["proposals"]
+
     def test_nngp_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         assert cli.main(["nngp", "--config", str(cfg)]) == 0

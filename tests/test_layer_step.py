@@ -31,3 +31,34 @@ def test_identity_normals_give_a_factor_of_the_layer_covariance(nonlinearity):
 
     alone = layer_step(cfg, g_t, eye[..., :m, :m])
     assert np.all(rel_err(alone, layer_cov(g_t, d, cfg.sigma_w, cfg.sigma_b)) < 1e-10)
+
+
+@pytest.mark.parametrize("nonlinearity", ["erf", "relu"])
+def test_conditioning_on_one_point_matches_the_cholesky_solve(nonlinearity):
+    # One conditioning point (a screened proposal's stage 2) takes the
+    # scalar solve; it must give the joint covariance and cho_solve's draw.
+    import scipy.linalg
+
+    from widebnn.numkit import chol_batch
+
+    cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=12,
+                        nonlinearity=nonlinearity)
+    m, d = 3, 12
+    rng = np.random.default_rng(11)
+    g = nonlinearity_fn(nonlinearity)(rng.standard_normal((5, d, 1 + m)))
+    g_x, g_t = g[..., :1], g[..., 1:]
+    eye = np.broadcast_to(np.eye(1 + m), (5, 1 + m, 1 + m))
+    f_x = layer_step(cfg, g_x, eye[..., :1])
+    f_t = layer_step(cfg, g_t, eye[..., 1:], (g_x, f_x))
+    want = layer_cov(g, d, cfg.sigma_w, cfg.sigma_b)
+    assert np.all(rel_err(np.concatenate([f_x, f_t], axis=-1), want) < 1e-10)
+
+    e = rng.standard_normal((5, 4, m))
+    f_x = rng.standard_normal((5, 4, 1))
+    c = layer_cov(g, d, cfg.sigma_w, cfg.sigma_b)
+    a_mat = np.stack([scipy.linalg.cho_solve((chol_batch(c[i, :1, :1]), True), c[i, :1, 1:])
+                      for i in range(5)])
+    schur = c[:, 1:, 1:] - np.swapaxes(c[:, :1, 1:], -1, -2) @ a_mat
+    expected = f_x @ a_mat + e @ np.swapaxes(chol_batch(schur), -1, -2)
+    np.testing.assert_allclose(layer_step(cfg, g_t, e, (g_x, f_x)), expected,
+                               rtol=1e-12, atol=1e-14)

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import threading
 import tracemalloc
@@ -11,9 +12,9 @@ from widebnn.errors import DimensionMismatch, InsufficientSamples
 from widebnn.experiments import DATASET_STREAM_ID
 from widebnn.kernels import nngp_kernel
 from widebnn.numkit import BATCH_FLOATS
-from widebnn.likelihood import LikelihoodSpec
+from widebnn.likelihood import LikelihoodSpec, log_likelihood_batch
 from widebnn.linreg import LinRegProblem, linreg_predictive
-from widebnn.network import NetworkConfig
+from widebnn.network import NetworkConfig, layer_normals, sample_layers
 from widebnn.numkit import GaussianStream
 from widebnn.sampler import (
     MomentAccumulator,
@@ -675,3 +676,188 @@ def test_parameter_mode_recorded_params_are_pinned(parametrisation, stats):
     assert report.recorded_param_stats.keys() == stats.keys()
     for idx, (mean, var) in stats.items():
         np.testing.assert_allclose(report.recorded_param_stats[idx], (mean, var), rtol=1e-12)
+
+
+# Two-stage proposals: a screen at one train point, then the other points
+# for the survivors only.
+SCREEN_CFG = NetworkConfig(depth=2, input_dim=1, output_dim=1, hidden_width=20)
+SCREEN_X = np.linspace(-1, 1, 3)[:, None]
+
+
+def test_modes_agree_on_the_evidence():
+    # test_modes_agree_statistically's config: function mode screens at one
+    # point and reports 1{u < l_p} * l_rest, parameter mode the plain mean.
+    lik = LikelihoodSpec("gaussian", sigma2=0.25)
+    ty = np.sin(SCREEN_X)
+    rp = rejection_sample(SCREEN_CFG, SCREEN_X, ty, lik, EX, 30_000, seed=11, mode="parameter")
+    rf = rejection_sample(SCREEN_CFG, SCREEN_X, ty, lik, EX, 30_000, seed=11, mode="function")
+    assert rp.survivors == rp.proposals and 0 < rf.survivors < rf.proposals
+    se = np.hypot(rp.mean_likelihood_se, rf.mean_likelihood_se)
+    assert abs(rp.mean_likelihood - rf.mean_likelihood) < 4 * se
+
+
+def screen_case(case):
+    tx = np.linspace(-1, 1, 4)[:, None]
+    if case == "gaussian":
+        cfg = NetworkConfig(depth=2, input_dim=1, output_dim=2, hidden_width=20)
+        return cfg, tx, np.hstack([np.sin(tx), np.cos(tx)]), LikelihoodSpec("gaussian", sigma2=0.5)
+    cfg = NetworkConfig(depth=2, input_dim=1, output_dim=3, hidden_width=20)
+    return cfg, tx, np.eye(3)[[0, 1, 2, 1]], LikelihoodSpec("categorical", num_classes=3)
+
+
+@pytest.mark.parametrize("case", ["gaussian", "categorical"])
+def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
+    # Complete the train path of every proposal of a seeded run, screened out
+    # or not, from its stage-1 row and its stage-2 key: no screened-out
+    # proposal has u < l, and the full test accepts what the run accepted.
+    cfg, tx, ty, lik = screen_case(case)
+    n, seed, mt, dims = 640, 3, tx.shape[0], cfg.layer_dims
+    screens = []
+
+    def spy(config, train_x, train_y, lik_, eval_x, seed_, lo, hi, mode, indices, scales,
+            screen):
+        screens.append(screen)
+        return runner(config, train_x, train_y, lik_, eval_x, seed_, lo, hi, mode, indices,
+                      scales, screen)
+
+    runner = sampler._run_chunk
+    monkeypatch.setattr(sampler, "_run_chunk", spy)
+    report = rejection_sample(cfg, tx, ty, lik, EX, n, seed=seed, mode="function",
+                              chunk_size=256)
+    p = screens[0]
+    assert p == int(np.argmin(sampler._survival(cfg, tx, ty, lik)))
+    rule = lambda fan_in, points: fan_in + 1 <= mt  # noqa: E731  (decided at m_train)
+    count = sum(u * (d + 1 if rule(d, mt) else 1) for d, u in zip(dims, dims[1:])) + 1
+    z = np.vstack([rows for _, rows in _gather(seed, 0, n, count)])
+    theta = list(layer_normals(z, cfg, 1, rule))
+    at_p = list(sample_layers(cfg, tx[[p]], theta, rule=rule))
+    rest = np.arange(mt) != p
+    per_unit = [0 if rule(d, mt) else u * (mt - 1) for d, u in zip(dims, dims[1:])]
+    z_tail = np.empty((n, sum(per_unit)))
+    stream = GaussianStream(seed)
+    for i in range(n):
+        stream.rekey(sampler._EVAL_KEYS + i, 1)
+        stream.normal(z_tail.shape[1], out=z_tail[i])
+    cuts = np.cumsum([0] + per_unit)
+    normals = [th if not k else z_tail[:, a:a + k].reshape(n, -1, mt - 1)
+               for th, a, k in zip(theta, cuts, per_unit)]
+    at_rest = list(sample_layers(cfg, tx[rest], normals, tx[[p]], at_p, rule=rule))
+    out = np.concatenate([at_p[-1], at_rest[-1]], axis=-1)
+    logl = log_likelihood_batch(lik, np.swapaxes(out, 1, 2), np.vstack([ty[[p]], ty[rest]]))
+    logl_p = log_likelihood_batch(lik, np.swapaxes(at_p[-1], 1, 2), ty[[p]])
+    log_u = scipy.special.log_ndtr(z[:, -1])
+    out_at_p = log_u >= logl_p
+    assert 0 < out_at_p.sum() < n
+    assert not np.any(log_u[out_at_p] < logl[out_at_p])
+    assert report.survivors == n - out_at_p.sum()
+    assert report.accepts == np.sum(log_u < logl) > 0
+
+
+def test_screening_point_has_the_least_predicted_survival(monkeypatch):
+    # The default sweep's data: 4 sin points on [-pi, pi] at sigma2 = 0.1.
+    cfg = NetworkConfig(depth=3, input_dim=1, output_dim=1, hidden_width=10)
+    tx = np.linspace(-np.pi, np.pi, 4)[:, None]
+    lik = LikelihoodSpec("gaussian", sigma2=0.1)
+    survival = sampler._survival(cfg, tx, np.sin(tx), lik)
+    np.testing.assert_allclose(survival, [0.287, 0.212, 0.212, 0.287], atol=5e-4)
+    screens = []
+
+    def spy(config, train_x, train_y, lik_, eval_x, seed, lo, hi, *extra):
+        screens.append(extra[-1])
+        return runner(config, train_x, train_y, lik_, eval_x, seed, lo, hi, *extra)
+
+    runner = sampler._run_chunk
+    monkeypatch.setattr(sampler, "_run_chunk", spy)
+    rejection_sample(cfg, tx, np.sin(tx), lik, EX, 64, seed=0, mode="function")
+    cat = LikelihoodSpec("categorical", num_classes=3)
+    ccfg = NetworkConfig(depth=2, input_dim=1, output_dim=3, hidden_width=10)
+    rejection_sample(ccfg, tx, np.eye(3)[[2, 1, 0, 1]], cat, EX, 64, seed=0, mode="function")
+    # Nothing to screen: every layer in weight space, or one train point.
+    rejection_sample(cfg, tx, np.sin(tx), lik, EX, 64, seed=0, mode="parameter")
+    rejection_sample(cfg, tx[:1], np.sin(tx[:1]), lik, EX, 64, seed=0, mode="function")
+    assert screens == [1, 0, None, None]
+    np.testing.assert_array_equal(sampler._survival(ccfg, tx, np.eye(3)[[2, 1, 0, 1]], cat),
+                                  np.full(4, 1 / 3))
+
+
+def test_stage_two_substream_is_apart_from_block_ids_and_the_dataset_stream(monkeypatch):
+    top = (1 << 62) - 1
+    last_block = top // sampler._BLOCK
+    assert sampler._EVAL_KEYS > DATASET_STREAM_ID > last_block
+    assert sampler._EVAL_KEYS + top < 1 << 64
+    # On proposal i's own key, stage 2 takes substream 1 and the eval
+    # extension substream 0, whose 2**128 Philox blocks it never exhausts.
+    assert sampler._TAIL_SUBSTREAM == 1
+    keys = []
+    rekey = GaussianStream.rekey
+
+    def spy(self, stream_id, substream=0):
+        keys.append((stream_id, substream))
+        return rekey(self, stream_id, substream)
+
+    monkeypatch.setattr(GaussianStream, "rekey", spy)
+    n = 2_000
+    report = rejection_sample(SCREEN_CFG, SCREEN_X, np.sin(SCREEN_X),
+                              LikelihoodSpec("gaussian", sigma2=0.25), EX, n, seed=2,
+                              mode="function", chunk_size=500)
+    blocks = {k for k, s in keys if k < sampler._EVAL_KEYS}
+    tail = [k - sampler._EVAL_KEYS for k, s in keys if s == 1]
+    evals = collections.Counter(k - sampler._EVAL_KEYS for k, s in keys
+                                if k >= sampler._EVAL_KEYS and s == 0)
+    assert {s for _, s in keys} == {0, 1}
+    assert max(blocks) < DATASET_STREAM_ID and all(s == 0 for k, s in keys if k in blocks)
+    assert len(tail) == len(set(tail)) == report.survivors < n
+    assert all(0 <= i < n for i in tail)
+    # Each chunk's stream starts at the chunk's first key; then every
+    # accepted proposal re-keys once, and it survived stage 1.
+    evals.subtract(range(0, n, 500))
+    accepted = +evals
+    assert sum(accepted.values()) == report.accepts > 0 and set(accepted) <= set(tail)
+
+
+def test_modes_share_default_chunks_when_every_layer_is_in_weight_space():
+    # Depth 3, width 1 on 4 points: both rules put every layer in weight
+    # space, so function mode holds parameter mode's 9 floats per proposal
+    # and runs its default chunks (14,336 proposals), bit for bit.
+    cfg = NetworkConfig(depth=3, input_dim=1, output_dim=1, hidden_width=1)
+    tx = np.linspace(-np.pi, np.pi, 4)[:, None]
+    assert sampler._proposal_floats(cfg, 4, "function") == 9
+    assert sampler._proposal_floats(cfg, 4, "parameter") == 9
+    lik = LikelihoodSpec("gaussian", sigma2=0.5)
+    ex = np.linspace(-np.pi, np.pi, 7)[:, None]
+    kw = dict(n_proposals=40_000, seed=6)
+    rp = rejection_sample(cfg, tx, np.sin(tx), lik, ex, mode="parameter", **kw)
+    rf = rejection_sample(cfg, tx, np.sin(tx), lik, ex, mode="function", **kw)
+    assert rp.moments_valid and rp.accepts == rf.accepts
+    assert rp.survivors == rf.survivors == 40_000
+    assert rp.posterior_mean.tobytes() == rf.posterior_mean.tobytes()
+    assert rp.posterior_cov.tobytes() == rf.posterior_cov.tobytes()
+    assert rp.mean_likelihood == rf.mean_likelihood
+    assert rp.mean_likelihood_se == rf.mean_likelihood_se
+
+
+def test_survivors_do_not_depend_on_workers_or_chunks():
+    lik = LikelihoodSpec("gaussian", sigma2=0.25)
+    kw = dict(n_proposals=3_000, seed=5, mode="function")
+    runs = [rejection_sample(SCREEN_CFG, SCREEN_X, np.sin(SCREEN_X), lik, EX, workers=w, **kw)
+            for w in (1, 2, 3)]
+    runs.append(rejection_sample(SCREEN_CFG, SCREEN_X, np.sin(SCREEN_X), lik, EX,
+                                 chunk_size=127, **kw))
+    assert 0 < runs[0].accepts < runs[0].survivors < 3_000
+    for r in runs[1:]:
+        assert r.survivors == runs[0].survivors and r.accepts == runs[0].accepts
+    for r in runs[1:3]:
+        assert r.mean_likelihood == runs[0].mean_likelihood
+        assert r.mean_likelihood_se == runs[0].mean_likelihood_se
+    # Nothing is screened in parameter mode.
+    r = rejection_sample(SCREEN_CFG, SCREEN_X, np.sin(SCREEN_X), lik, EX, 3_000, seed=5,
+                         mode="parameter")
+    assert r.survivors == r.proposals
+
+
+def test_no_survivor_reports_a_zero_evidence_without_an_error():
+    lik = LikelihoodSpec("gaussian", sigma2=1e-12)
+    r = rejection_sample(SCREEN_CFG, SCREEN_X, np.sin(SCREEN_X), lik, EX, 500, seed=0,
+                         mode="function")
+    assert r.survivors == 0 and r.accepts == 0
+    assert r.mean_likelihood == 0.0 and r.mean_likelihood_se is None
