@@ -2,7 +2,9 @@
 
 Closed-form posterior, prior-to-posterior discrepancy rates over a width-like
 feature-count grid, the sqrt(n)/n reparametrisation comparison, and the
-conjugate predictive used as an oracle for the rejection sampler.
+conjugate predictive used as an oracle for the rejection sampler. The rate
+study's full-matrix check runs its four W2/KL calls concurrently, at most
+min(cores, 4) of them in flight (:func:`rate_sweep`).
 
 The prior is w ~ N(0, (alpha/n) I_n) with alpha = beta = 1 unless stated; the
 design matrix has m rows (observations) and n columns (features).
@@ -19,7 +21,7 @@ import scipy.special
 from .errors import DimensionMismatch, RouteMismatch
 from .kernels import GaussianPredictive
 from .metrics import GaussianDist, kl_gaussian, w2_gaussian
-from .numkit import GaussianStream, as_matrix, solve_spd
+from .numkit import GaussianStream, as_matrix, available_cores, ordered_map, solve_spd
 
 __all__ = [
     "LinRegProblem",
@@ -147,7 +149,11 @@ def rate_sweep(
     routines in :mod:`widebnn.metrics` and must agree with the spectral
     expansion within ``dual_check_tol``, else :class:`RouteMismatch` is
     raised; full matrices at the top of the grid
-    would be too large to factor, so the dual route is capped.
+    would be too large to factor, so the dual route is capped. The four
+    general-route calls of a grid point (W2 and KL, before and after the
+    rescaling) run concurrently through :func:`numkit.ordered_map`, at most
+    min(cores, 4) in flight, and are compared in that order; every row
+    comes from the spectral route, so rows do not depend on the core count.
     """
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -209,19 +215,17 @@ def _dual_check(x, y, mu, w2_sq, kl, w2_ntk_sq, kl_ntk, tol):
     post = linreg_posterior(LinRegProblem(x, y))
     if not np.allclose(post.mean, mu, rtol=0, atol=1e-12):
         raise RouteMismatch("posterior mean mismatch between routes")
+    # The distributions are built here, on the calling thread, so that pool
+    # threads allocate only their own call's work arrays.
     prior = GaussianDist(np.zeros(n), np.eye(n) / n)
-    w2_full = w2_gaussian(post, prior)
-    kl_full = kl_gaussian(post, prior)
     scaled = ntk_rescale(post, n)
     iso = GaussianDist(np.zeros(n), np.eye(n))
-    w2_ntk_full = w2_gaussian(scaled, iso)
-    kl_ntk_full = kl_gaussian(scaled, iso)
-    for got, want, label in [
-        (w2_full, w2_sq, "w2_sq"),
-        (kl_full, kl, "kl"),
-        (w2_ntk_full, w2_ntk_sq, "w2_ntk_sq"),
-        (kl_ntk_full, kl_ntk, "kl_ntk"),
-    ]:
+    calls = [(w2_gaussian, post, prior), (kl_gaussian, post, prior),
+             (w2_gaussian, scaled, iso), (kl_gaussian, scaled, iso)]
+    results = list(ordered_map(lambda c: c[0](c[1], c[2]), calls,
+                               min(available_cores(), len(calls))))
+    for got, want, label in zip(results, [w2_sq, kl, w2_ntk_sq, kl_ntk],
+                                ["w2_sq", "kl", "w2_ntk_sq", "kl_ntk"]):
         if abs(got - want) > tol * max(1.0, abs(want)):
             raise RouteMismatch(
                 f"{label}: spectral route {want!r} vs general route {got!r}"

@@ -8,9 +8,12 @@ covariance once and never form eigenvectors. ``w2_gaussian`` factors
 Q = F F^T (Cholesky, or the symmetric square root when Q is only
 semidefinite) and takes the Bures trace term tr (Q^1/2 P Q^1/2)^1/2 as the
 sum of square roots of the eigenvalues of F^T P F, which has the same
-spectrum. ``kl_gaussian`` reuses the Cholesky factors L_Q and L_P:
-tr(Q^-1 P) = ||L_Q^-1 L_P||_F^2 and the quadratic form is ||L_Q^-1 dmu||^2,
-both by triangular solves.
+spectrum, found in place in that product. ``kl_gaussian`` reuses the
+Cholesky factors L_Q and L_P: tr(Q^-1 P) = ||L_Q^-1 L_P||_F^2 and the
+quadratic form is ||L_Q^-1 dmu||^2, both by triangular solves. The trace is
+summed over column blocks of L_Q^-1 L_P, 128 columns at a time, so no n x n
+solve is held; the product is lower triangular, so the block of columns
+j, j+1, ... solves only with the trailing rows and columns j: of L_Q.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .numkit import as_matrix, check_symmetric, cholesky, clip_psd, psd_factor
 
 __all__ = ["GaussianDist", "rel_frobenius", "w2_gaussian", "kl_gaussian"]
 
+_KL_BLOCK = 128  # columns of L_Q^-1 L_P per triangular solve
+
 
 @dataclass
 class GaussianDist:
@@ -40,6 +45,8 @@ class GaussianDist:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
+        if not np.isfinite(self.mean).all():
+            raise ValueError("mean contains NaN or Inf")
         self.cov = as_matrix(self.cov, "cov")
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise DimensionMismatch("covariance shape must match mean length")
@@ -69,9 +76,14 @@ def w2_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     """
     if p.dim != q.dim:
         raise DimensionMismatch("distributions have different dimensions")
+    import scipy.linalg
+
     check_symmetric(p.cov, "P covariance")
     f = psd_factor(q.cov)
-    lam = clip_psd(np.linalg.eigvalsh(f.T @ p.cov @ f))
+    # F^T P F is a fresh array, so its spectrum is found in place: its
+    # transpose is in Fortran order and LAPACK takes it without a copy.
+    lam = clip_psd(scipy.linalg.eigvalsh((f.T @ p.cov @ f).T, overwrite_a=True,
+                                         check_finite=False))
     dm = p.mean - q.mean
     val = dm @ dm + np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.sum(np.sqrt(lam))
     return float(max(val, 0.0))
@@ -92,10 +104,14 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     if np.any(np.diag(lp) <= 0.0):
         raise SingularDistribution("P covariance is singular")
     dim = p.dim
-    a = scipy.linalg.solve_triangular(lq, lp, lower=True, check_finite=False)
+    trace = 0.0
+    for j in range(0, dim, _KL_BLOCK):
+        # Columns j: of L_Q^-1 L_P vanish above row j, so rows j: solve them.
+        a = scipy.linalg.solve_triangular(lq[j:, j:], lp[j:, j:j + _KL_BLOCK], lower=True,
+                                          check_finite=False)
+        trace += float(np.vdot(a, a))
     b = scipy.linalg.solve_triangular(lq, q.mean - p.mean, lower=True,
                                       check_finite=False)
-    trace = float(np.vdot(a, a))
     quad = float(b @ b)
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(lq))))
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(lp))))

@@ -10,7 +10,6 @@ function space.
 from __future__ import annotations
 
 import functools
-import os
 import threading
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, List, Optional, Sequence
@@ -20,6 +19,7 @@ import scipy.special
 
 from .errors import DimensionMismatch
 from .numkit import BATCH_FLOATS, GaussianStream, as_matrix, chol_batch, is_int, ordered_map
+from .numkit import available_cores as _available_cores  # module-level, so tests can patch it
 
 __all__ = [
     "NetworkConfig",
@@ -281,7 +281,8 @@ def sample_layers(config: NetworkConfig, x: np.ndarray, normals: Iterable[np.nda
                   x_cond: Optional[np.ndarray] = None,
                   f_cond: Optional[Sequence[Optional[np.ndarray]]] = None,
                   out: Optional[Sequence[np.ndarray]] = None,
-                  rule=weight_space) -> Iterator[np.ndarray]:
+                  rule=weight_space, g_cond: Optional[dict] = None,
+                  g_out: Optional[dict] = None) -> Iterator[np.ndarray]:
     """Yield each sampled layer's preactivations at the points ``x`` (rows),
     units by points, from the first hidden layer to the output layer.
 
@@ -305,7 +306,12 @@ def sample_layers(config: NetworkConfig, x: np.ndarray, normals: Iterable[np.nda
     was drawn with there as its normals, and every other layer is
     conditioned on its values there; zero conditioning points give the plain
     draw. Only a function-space layer and the layer before it are read from
-    ``f_cond``, so the others may be None.
+    ``f_cond``, so the others may be None. ``g_out``, a dict, receives the
+    activations each function-space layer after the first is drawn from
+    (``phi`` of the layer before, units by points), keyed by layer index;
+    given such a dict at ``x_cond`` as ``g_cond``, a conditioned extension
+    reads them from it instead of recomputing them from ``f_cond``, which
+    then needs only the function-space layers.
 
     ``out``, two flat float arrays that each hold one layer's values (batch
     x units x points), makes a plain draw allocate no batch-sized arrays:
@@ -343,9 +349,12 @@ def sample_layers(config: NetworkConfig, x: np.ndarray, normals: Iterable[np.nda
                 if sb != 0.0:
                     f += sb * e[:, units * d:, None]
         else:
+            if g_out is not None and li > 0:
+                g_out[li] = g
             cond = None
             if x_cond is not None:
-                g_x = x_cond.T if li == 0 else phi(f_cond[li - 1])
+                g_x = (x_cond.T if li == 0 else
+                       phi(f_cond[li - 1]) if g_cond is None else g_cond[li])
                 cond = (g_x, f_cond[li])
             f = layer_step(config, g, e, cond, out=dest)
         yield f
@@ -421,9 +430,3 @@ def prior_function_draws(
         pass
     stream.rekey(stream.stream_id, first + n_draws)
     return draws
-
-
-def _available_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import os
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "clip_psd",
     "check_symmetric",
     "GaussianStream",
+    "available_cores",
     "ordered_map",
 ]
 
@@ -236,6 +238,13 @@ class GaussianStream:
 
     def __repr__(self) -> str:
         return f"GaussianStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def available_cores() -> int:
+    """The cores this process may run on, which size every internal pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def ordered_map(fn, items, workers: int):

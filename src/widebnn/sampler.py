@@ -284,8 +284,9 @@ def _rule_at(mode: str, m_train: int):
 
 def _layout(config: NetworkConfig, m_train: int, mode: str):
     """Per sampled layer, whether the mode's rule puts it in weight space, and
-    whether a conditioned extension reads its values at the conditioning
-    points: a function-space layer and the layer before it."""
+    whether a conditioned extension keeps floats of its size at the
+    conditioning points: a function-space layer's values, and the layer
+    before it, whose activations that layer is drawn from."""
     space = [_RULES[mode](d, m_train) for d in config.layer_dims[:-1]]
     return space, [not w or (l + 1 < len(space) and not space[l + 1]) for l, w in enumerate(space)]
 
@@ -370,7 +371,7 @@ def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indice
     mt, me = train_x.shape[0], eval_x.shape[0]
     dims = config.layer_dims
     rule = _rule_at(mode, mt)
-    space, kept = _layout(config, mt, mode)
+    space = _layout(config, mt, mode)[0]
     # Stage 1 draws the `head` train points (the screening point, or all of
     # them), stage 2 a survivor's `tail`; the eval extension takes both.
     order, mh = np.arange(mt), mt
@@ -392,19 +393,25 @@ def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indice
     stream = GaussianStream(seed, _EVAL_KEYS + lo) if eval_total or tail_total else None
     for pos, z in _gather(seed, lo, hi, count):
         train_normals = list(layer_normals(z, config, mh, rule))
-        head_layers = []
-        for f, keep in zip(sample_layers(config, head, train_normals, rule=rule), kept):
-            head_layers.append(f if keep else None)
+        # A conditioned extension reads each function-space layer's values and
+        # its input activations at the train points, kept from stage 1.
+        head_acts, head_layers = {}, []
+        for f, ws in zip(sample_layers(config, head, train_normals, rule=rule, g_out=head_acts),
+                         space):
+            head_layers.append(None if ws else f)
         logl = log_likelihood_batch(lik, np.swapaxes(f, 1, 2), y_head)  # (b, m, p)
         ell = np.exp(logl)
         if not mr:
             lik_acc.update_block(ell[:, None])
         for part in _slices(_accepted(z[:, -1], logl, ell), per_live):
             layers = [None if f is None else f[part] for f in head_layers]
+            acts = {l: g[part] for l, g in head_acts.items()}
             if mr:  # stage 2: the survivors `part` at the other train points
                 z_tail = _keyed_normals(stream, pos + part, _TAIL_SUBSTREAM, tail_total)
                 normals = _eval_normals(z_tail, train_normals, part, space, dims, mr)
-                tail_layers = list(sample_layers(config, tail, normals, head, layers, rule=rule))
+                tail_acts = {}
+                tail_layers = list(sample_layers(config, tail, normals, head, layers, rule=rule,
+                                                 g_cond=acts, g_out=tail_acts))
                 logl_tail = log_likelihood_batch(lik, np.swapaxes(tail_layers[-1], 1, 2), y_tail)
                 lik_acc.update_block(np.exp(logl_tail)[:, None])
                 logl_all = logl[part] + logl_tail
@@ -412,12 +419,16 @@ def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indice
                 part = part[hit]
                 layers = [None if f is None else np.concatenate([f[hit], f_t[hit]], axis=-1)
                           for f, f_t in zip(layers, tail_layers)]
+                acts = {l: np.concatenate([g[hit], tail_acts[l][hit]], axis=-1)
+                        for l, g in acts.items()}
             for sub in _slices(np.arange(part.size), per_accept):
                 rows = part[sub]
                 z_eval = _keyed_normals(stream, pos + rows, 0, eval_total)
                 normals = _eval_normals(z_eval, train_normals, rows, space, dims, me)
                 picked = [None if f is None else f[sub] for f in layers]
-                for f_e in sample_layers(config, eval_x, normals, cond_x, picked, rule=rule):
+                g_picked = {l: g[sub] for l, g in acts.items()}
+                for f_e in sample_layers(config, eval_x, normals, cond_x, picked, rule=rule,
+                                         g_cond=g_picked):
                     pass
                 acc.update_block(np.swapaxes(f_e, 1, 2).reshape(rows.size, -1))
                 if pstats is not None:

@@ -305,6 +305,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: w2_sq: spectral route") and "Traceback" not in err
 
+    def test_linreg_rates_wrong_kl_on_a_worker_exit_code(self, tmp_path, monkeypatch, capsys):
+        from widebnn import linreg
+
+        real = linreg.kl_gaussian
+        monkeypatch.setattr(linreg, "kl_gaussian", lambda p, q: real(p, q) + 1.0)
+        monkeypatch.setattr(linreg, "available_cores", lambda: 2)
+        out = tmp_path / "rates.csv"
+        assert cli.main(["linreg-rates", "--n-grid", "16,32", "--m", "4",
+                         "--seed", "1", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: kl: spectral route")
+
     @pytest.mark.parametrize("grid,m", [("8,4", 2), ("16", 8), ("4,16,32", 8),
                                         ("16,32", 0)])
     def test_linreg_rates_bad_grid_exit_code(self, tmp_path, grid, m):

@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
-from widebnn.errors import DimensionMismatch
+from widebnn import linreg
+from widebnn.errors import DimensionMismatch, RouteMismatch
 from widebnn.linreg import (
     LinRegProblem,
     fit_loglog_slope,
@@ -119,6 +122,35 @@ class TestRateSweep:
         # n ||mu_n||^2 stays order one: within a factor of 2 over the top rows.
         tail = [r.n_mu_norm_sq for r in rows[-3:]]
         assert max(tail) / min(tail) < 2.0
+
+    def test_rows_do_not_depend_on_the_core_count(self, monkeypatch):
+        # The four general-route calls run on min(cores, 4) threads; every
+        # row field comes from the spectral route, so rows compare equal.
+        real_map, workers, rows = linreg.ordered_map, [], {}
+
+        def spy(fn, items, n):
+            workers.append(n)
+            return real_map(fn, items, n)
+
+        monkeypatch.setattr(linreg, "ordered_map", spy)
+        for cores in (1, 2, 8):
+            monkeypatch.setattr(linreg, "available_cores", lambda: cores)
+            rows[cores] = rate_sweep([16, 64, 256, 1024, 2048], m=8, seed=3)
+        assert rows[1] == rows[2] == rows[8]
+        assert workers == [1] * 4 + [2] * 4 + [4] * 4  # the four n <= 1024 each time
+
+    def test_wrong_general_route_raises_from_a_worker_thread(self, monkeypatch):
+        real, threads = linreg.kl_gaussian, []
+
+        def wrong(p, q):
+            threads.append(threading.get_ident())
+            return real(p, q) + 1.0
+
+        monkeypatch.setattr(linreg, "kl_gaussian", wrong)
+        monkeypatch.setattr(linreg, "available_cores", lambda: 2)
+        with pytest.raises(RouteMismatch, match=r"^kl: spectral route"):
+            rate_sweep([16, 32], m=4, seed=1)
+        assert threads and threading.get_ident() not in threads
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from widebnn.errors import (
     SingularDistribution,
     ZeroReference,
 )
+from widebnn import metrics
 from widebnn.metrics import GaussianDist, kl_gaussian, rel_frobenius, w2_gaussian
 
 
@@ -191,6 +192,19 @@ class TestKL:
         want = kl_reference(p, q)
         assert abs(kl_gaussian(p, q) - want) <= 1e-10 * abs(want)
 
+    @pytest.mark.parametrize("block", [1, 7, 128, 299, 300, 512])
+    def test_blocked_trace_matches_dense_reference(self, block, monkeypatch):
+        # n = 300 is no multiple of the default 128-column block, so its last
+        # block is partial; other widths cover one column, one block and more.
+        n = 300
+        assert n % metrics._KL_BLOCK
+        monkeypatch.setattr(metrics, "_KL_BLOCK", block)
+        rng = np.random.default_rng(17)
+        p = random_dist(rng, random_pd(rng, n))
+        q = random_dist(rng, random_pd(rng, n))
+        want = kl_reference(p, q)
+        assert abs(kl_gaussian(p, q) - want) <= 1e-10 * abs(want)
+
     def test_asymmetric_covariance_is_not_reported_singular(self):
         bad = GaussianDist(np.zeros(3), asymmetric(3))
         good = GaussianDist(np.zeros(3), np.eye(3))
@@ -212,3 +226,11 @@ class TestGaussianDist:
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             GaussianDist(np.zeros(3), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        # Without the check W2 and KL return nan or inf for such a mean.
+        with pytest.raises(ValueError, match="mean contains NaN or Inf"):
+            GaussianDist([bad, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="cov contains NaN or Inf"):
+            GaussianDist([0.0, 0.0], [[bad, 0.0], [0.0, 1.0]])

@@ -14,7 +14,8 @@ from widebnn.kernels import nngp_kernel
 from widebnn.numkit import BATCH_FLOATS
 from widebnn.likelihood import LikelihoodSpec, log_likelihood_batch
 from widebnn.linreg import LinRegProblem, linreg_predictive
-from widebnn.network import NetworkConfig, layer_normals, sample_layers
+from widebnn.network import (NetworkConfig, layer_normals, nonlinearity_fn,
+                             normals_per_draw, sample_layers)
 from widebnn.numkit import GaussianStream
 from widebnn.sampler import (
     MomentAccumulator,
@@ -751,6 +752,33 @@ def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
     assert not np.any(log_u[out_at_p] < logl[out_at_p])
     assert report.survivors == n - out_at_p.sum()
     assert report.accepts == np.sum(log_u < logl) > 0
+
+
+@pytest.mark.parametrize("nonlinearity", ["erf", "relu"])
+def test_kept_activations_extend_like_recomputed_ones(nonlinearity):
+    # The activations a draw records in g_out give, as g_cond, the same
+    # extension bit for bit as recomputing them from every layer's values.
+    cfg = NetworkConfig(depth=3, input_dim=2, output_dim=1, hidden_width=6,
+                        nonlinearity=nonlinearity)
+    rng = np.random.default_rng(4)
+    x, x_new = rng.standard_normal((3, 2)), rng.standard_normal((5, 2))
+    rule = lambda fan_in, points: fan_in + 1 <= 3  # noqa: E731  (decided at x)
+    z = GaussianStream(8).normal(10 * normals_per_draw(cfg, 3, rule)).reshape(10, -1)
+    theta = list(layer_normals(z, cfg, 3, rule))
+    acts = {}
+    at_x = list(sample_layers(cfg, x, theta, rule=rule, g_out=acts))
+    assert sorted(acts) == [1, 2, 3]  # layer 0 (fan_in 2) is in weight space
+    phi = nonlinearity_fn(nonlinearity)
+    assert all(np.array_equal(g, phi(at_x[l - 1])) for l, g in acts.items())
+    e = GaussianStream(9).normal(10 * 13 * 5).reshape(10, 13, 5)
+
+    def normals():  # layer 0 reuses its W and b; units 6, 6 and 1 take 5 each
+        return [theta[0], e[:, :6], e[:, 6:12], e[:, 12:]]
+
+    want = list(sample_layers(cfg, x_new, normals(), x, at_x, rule=rule))
+    fs_only = [None] + at_x[1:]  # with g_cond only function-space layers are read
+    got = list(sample_layers(cfg, x_new, normals(), x, fs_only, rule=rule, g_cond=acts))
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
 def test_screening_point_has_the_least_predicted_survival(monkeypatch):
