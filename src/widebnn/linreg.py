@@ -183,7 +183,7 @@ def _rate_row(x: np.ndarray, y: np.ndarray, dual_max: int, tol: float) -> RateRo
 
     trace_sigma = (n - m) / n + float(np.sum(1.0 / (n + lam)))
     logdet_sigma = -(n - m) * np.log(n) - float(np.sum(np.log(n + lam)))
-    kl = 0.5 * (n * mu2 - n + n * trace_sigma - n * np.log(n) - logdet_sigma)
+    kl = float(0.5 * (n * mu2 - n + n * trace_sigma - n * np.log(n) - logdet_sigma))
 
     # Rescaled problem: posterior N(sqrt(n) mu, n Sigma) against prior N(0, I).
     e = n / (n + lam)  # non-unit eigenvalues of n Sigma

@@ -217,12 +217,17 @@ def layer_step(config: NetworkConfig, g: np.ndarray, e: np.ndarray,
     points, where the previous layer was ``g_x``: ``f_x @ A + e @ S.T`` with
     ``A = C_xx^-1 C_xt``, solved with the ``chol_batch`` factor of C_xx that
     draws ``f_x``, and S the factor of the Schur complement ``C_tt - C_tx A``.
+    A product whose inner dimension is 1 (one new point, or one conditioning
+    point) is taken as a broadcast product, which gives the matmul's bits.
     """
     sw, sb = config.sigma_w, config.sigma_b
     d_in = g.shape[-2]
     c_tt = layer_cov(g, d_in, sw, sb)
     if cond is None:
-        return np.matmul(e, np.swapaxes(chol_batch(c_tt), -1, -2), out=out)
+        l_tt = chol_batch(c_tt)
+        if c_tt.shape[-1] == 1:
+            return np.multiply(e, l_tt, out=out)
+        return np.matmul(e, np.swapaxes(l_tt, -1, -2), out=out)
     import scipy.linalg  # here, not at module level, where it slows every import
 
     g_x, f_x = cond
@@ -231,10 +236,12 @@ def layer_step(config: NetworkConfig, g: np.ndarray, e: np.ndarray,
     if c_xx.shape[-1] == 1:  # one point: OpenBLAS's potrs, without cho_solve's
         inv = 1.0 / chol_batch(c_xx)  # Python loop over the batch
         a_mat = c_xt * inv * inv
+        mean = f_x * a_mat
     else:
         a_mat = scipy.linalg.cho_solve((chol_batch(c_xx), True), c_xt, check_finite=False)
+        mean = f_x @ a_mat
     schur = c_tt - np.swapaxes(c_xt, -1, -2) @ a_mat
-    return f_x @ a_mat + e @ np.swapaxes(chol_batch(schur), -1, -2)
+    return mean + e @ np.swapaxes(chol_batch(schur), -1, -2)
 
 
 def weight_space(fan_in: int, points: int) -> bool:

@@ -6,21 +6,26 @@ al., "Random123", SC'11): at n normals per block row a block holds
 normals, and rows of 64 or more normals keep blocks of 64. Proposal i takes
 row ``i % G`` of ``GaussianStream(seed, i // G)``, which draws its block's
 rows in proposal order. G depends only on the config, the train points and
-the mode, never on the worker count. A row holds the normals of every layer
-at the stage-1 train points (below), as :func:`network.layer_normals`
-splits them, then one extra normal mapped through the standard normal CDF to
-give the acceptance uniform. Proposal i draws its other normals from its
-own key ``(seed, 2**63 + i)``, apart from the block ids and from
-``experiments.DATASET_STREAM_ID`` (2**62): stage 2 from substream 1, the
-eval points of its function-space layers, once accepted, from substream 0.
-The accept test ``log u < log likelihood`` runs in linear space first and
-leaves near ties to ``log_ndtr`` (:func:`_accepted`). By default proposals
-run in chunks of whole blocks that hold about ``numkit.BATCH_FLOATS`` floats
-of train-path values, merged in ascending order, so results are
-invariant to the worker count; a chunk that starts inside a block draws and
-discards the block's earlier rows (fewer than ``G * n``: below 8,192 normals
-for rows under 64 normals, 63 rows otherwise), so accepts do not depend on
-the chunk size.
+the mode, never on the worker count. A stage-1 row holds the normals of
+every layer at the stage-1 train points (below), as
+:func:`network.layer_normals` splits them, then one extra normal mapped
+through the standard normal CDF to give the acceptance uniform; the block
+row holds the whole stage-1 row, or in a screened run only its end, the
+output layer's normals at the screening point and the acceptance normal
+(stage 0, below). Proposal i draws its other normals from its own key
+``(seed, 2**63 + i)``, apart from the block ids and from
+``experiments.DATASET_STREAM_ID`` (2**62): the rest of its stage-1 row from
+substream 2, stage 2 from substream 1, the eval points of its function-space
+layers, once accepted, from substream 0. The accept test ``log u < log
+likelihood`` runs in linear space first and leaves near ties to
+``log_ndtr`` (:func:`_accepted`). By default proposals run in chunks that
+hold about ``numkit.BATCH_FLOATS`` floats of train-path values, in whole
+blocks of G at the stage-1 row's n, merged in ascending order, so results
+are invariant to the worker count. A chunk that starts inside a block (a
+screened run's blocks hold 2,048 proposals at one output) draws and
+discards the block's earlier rows (fewer than ``G * n``: below 8,192
+normals for rows under 64 normals, 63 rows otherwise), so accepts do not
+depend on the chunk size.
 
 One chunk runner draws every proposal layer by layer through
 :func:`network.sample_layers`, the layer loop that prior draws use too; the
@@ -46,21 +51,42 @@ it), one normal per unit and point. Both views give the same Gaussian
 
 Each likelihood factor is at most 1, so ``u >= l_p`` at one train point p
 rejects a proposal exactly (delayed acceptance, Christen & Fox 2005). With
-a function-space layer and two or more train points, stage 1 draws each
-function-space layer at p alone, one normal per unit (rows of 4,002
-normals at width 1000, 42 at width 10), and screens out ``u >= l_p``; p
-has the least survival ``E[l_i]`` under the NNGP marginal ``f_i ~ N(0,
-K_ii)`` (:func:`_survival`; the lowest index on a tie). Stage 2 extends each
-survivor from p to the other train points by the conditioned route of
-:func:`network.sample_layers`, ``m_train - 1`` normals per function-space
-unit, weight-space layers reusing their W and b, and tests ``u < l_p *
-l_rest``. About 21% survive at sigma2 = 0.1 on the default sweep's data, so
-width 1000 takes about 4,002 + 0.21 * 6,003 normals instead of 10,005. The
-evidence estimate is the mean of ``1{u < l_p} * l_rest`` (Horvitz &
-Thompson 1952), unbiased since ``P(u < l_p | f) = l_p``. An accepted
-proposal is extended to the eval points given every train point, p first:
-weight-space layers reuse their W and b, function-space layers take
-``m_eval`` fresh normals per unit.
+a function-space layer and two or more train points a proposal passes up to
+three stages; p has the least survival ``E[l_i]`` under the NNGP marginal
+``f_i ~ N(0, K_ii)`` (:func:`_survival`; the lowest index on a tie).
+
+* Stage 0 draws no hidden layer. A function-space output layer at p is
+  ``f_p = s * e``, with e its block-row normals, one per output unit, and s
+  the ``chol_batch`` factor of ``C = sigma_w^2 / d * sum_j phi(h_j)^2 +
+  sigma_b^2``. C lies in ``[sigma_b^2, sigma_w^2 + sigma_b^2]`` for erf
+  (``erf^2 <= 1``), in ``[sigma_b^2, inf)`` for relu and identity, and is
+  ``sigma_w^2 / d * ||x_p||^2 + sigma_b^2`` at depth 0 (:func:`_scale_range`,
+  widened for the jitter). Stage 0 rejects ``u >= B``, B the sup of
+  ``l_p(s * e)`` over that range (:func:`_log_bound`): for the Gaussian
+  likelihood at the least-squares s clipped to the range, for the
+  categorical with each term ``exp(s (e_k - e_y))`` of the softmax
+  denominator at its own end. It rejects only with a margin for rounding.
+  With the output layer in weight space B is 1 and nothing is rejected.
+  On the default sweep's data 37.6% pass at sigma2 = 0.1 and 30% at 0.01;
+  relu, whose range has no upper end, passes 71% at width 30 and 0.1.
+* Stage 1 draws the rest of its row at p from substream 2 of its key: each
+  weight-space layer's W and b, one normal per unit of each function-space
+  layer (4,001 normals at width 1000, 41 at width 10), and screens out
+  ``u >= l_p``. About 21% of all proposals survive at sigma2 = 0.1.
+* Stage 2 extends each survivor from p to the other train points by the
+  conditioned route of :func:`network.sample_layers`, ``m_train - 1``
+  normals per function-space unit, weight-space layers reusing their W and
+  b, and tests ``u < l_p * l_rest``.
+
+So width 1000 takes about 2,800 normals per proposal instead of 10,005. A
+stage-1 draw re-keys a stream per proposal, which costs more than stage 0
+saves at small widths: at width 10 a 5,120-proposal call takes about 1.5
+ms more (+10%). The evidence estimate is the mean of ``1{u < l_p} * l_rest``
+(Horvitz & Thompson 1952), unbiased since ``P(u < l_p | f) = l_p``; stage
+0 rejects only proposals with ``u >= l_p``. An accepted proposal is
+extended to the eval points given every train point, p first: weight-space
+layers reuse their W and b, function-space layers take ``m_eval`` fresh
+normals per unit.
 
 Every function-space layer covariance is factored by
 :func:`numkit.chol_batch` (a fixed jitter, one attempt, else
@@ -102,8 +128,14 @@ __all__ = [
 _BLOCK = 64  # proposals per Philox key at 64 or more normals per proposal
 _EVAL_KEYS = 1 << 63  # proposal i's own key is _EVAL_KEYS + i: eval normals at
 _TAIL_SUBSTREAM = 1  # substream 0, stage-2 normals at this one
+_HEAD_SUBSTREAM = 2  # and stage-1 normals at this one
 _MARGIN = 1e-9  # relative gap of u and ell below which the log test decides
 _TINY = 1e-290  # u or ell below this is decided by the log test
+# Stage 0 widens the output scale's range by this much, relative and absolute
+# (the chol_batch jitter adds 1e-12 * (C + 1); rounding far less), and
+# rejects only when log u exceeds the log bound b by _BOUND_MARGIN * (1 - b).
+_SCALE_SLACK = 1e-9
+_BOUND_MARGIN = 1e-6
 # Per mode, the rule that puts a layer of fan_in inputs at m points in weight space.
 _RULES = {"parameter": lambda fan_in, points: True, "function": weight_space}
 
@@ -321,6 +353,39 @@ def _survival(config: NetworkConfig, train_x: np.ndarray, train_y: np.ndarray,
     return np.prod(np.sqrt(lik.sigma2 / var) * np.exp(-0.5 * train_y ** 2 / var), axis=1)
 
 
+def _scale_range(config: NetworkConfig, x_p: np.ndarray) -> Tuple[float, float]:
+    """The range of the output layer's scale s at the one point ``x_p``, the
+    ``chol_batch`` factor of ``C = sigma_w^2 / d * sum_j phi(h_j)^2 +
+    sigma_b^2``, over every last hidden layer h: C is ``sigma_w^2 / d *
+    ||x_p||^2 + sigma_b^2`` at depth 0, in ``[sigma_b^2, sigma_w^2 +
+    sigma_b^2]`` for erf (``erf^2 <= 1``) and at least ``sigma_b^2``
+    otherwise. The range of C is widened by ``_SCALE_SLACK``."""
+    sw2, sb2 = config.sigma_w ** 2, config.sigma_b ** 2
+    if config.depth == 0:
+        lo = hi = sw2 / config.input_dim * float(x_p @ x_p) + sb2
+    else:
+        lo, hi = sb2, sw2 + sb2 if config.nonlinearity == "erf" else np.inf
+    return np.sqrt(lo * (1.0 - _SCALE_SLACK)), np.sqrt(hi * (1.0 + _SCALE_SLACK) + _SCALE_SLACK)
+
+
+def _log_bound(lik: LikelihoodSpec, y_p: np.ndarray, e: np.ndarray, s_lo: float,
+               s_hi: float) -> np.ndarray:
+    """Per row of ``e`` (the output layer's normals at p, one per output), the
+    log of the sup of ``l_p(s * e)`` over ``s`` in ``[s_lo, s_hi]``. Gaussian:
+    the least-squares ``s = e.y / e.e``, clipped to the range. Categorical,
+    ``l_p = 1 / sum_k exp(s (e_k - e_y))``: each term at its own endpoint,
+    ``s_lo`` where ``e_k > e_y`` and ``s_hi`` where ``e_k < e_y``."""
+    if lik.kind == "gaussian":
+        ee, ey = np.einsum("bk,bk->b", e, e), e @ y_p
+        s = np.clip(np.divide(ey, ee, out=np.zeros_like(ey), where=ee > 0), s_lo, s_hi)
+        r = s[:, None] * e - y_p
+        return -0.5 / lik.sigma2 * np.einsum("bk,bk->b", r, r)
+    diff = e - (e @ y_p)[:, None]
+    a = np.where(diff > 0, s_lo * diff, 0.0)
+    np.multiply(s_hi, diff, out=a, where=diff < 0)
+    return -scipy.special.logsumexp(a, axis=1)
+
+
 def _accepted(z: np.ndarray, logl: np.ndarray, ell: np.ndarray) -> np.ndarray:
     """Indices of the proposals with ``log_ndtr(z) < logl``; ``ell = exp(logl)``.
     ``u = ndtr(z)`` and ``ell`` err by a few ulps from ``_TINY`` up, far below
@@ -342,9 +407,10 @@ def _slices(hit: np.ndarray, floats: int):
 
 
 def _keyed_normals(stream: GaussianStream, keys: np.ndarray, substream: int,
-                   total: int) -> np.ndarray:
-    """Row j: ``total`` normals from ``substream`` of key ``_EVAL_KEYS + keys[j]``."""
-    z = np.empty((keys.size, total))
+                   total: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row j: ``total`` normals from ``substream`` of key ``_EVAL_KEYS +
+    keys[j]``, written into the rows of ``out`` if given."""
+    z = np.empty((keys.size, total)) if out is None else out
     for j, key in enumerate(keys if total else ()):
         stream.rekey(_EVAL_KEYS + int(key), substream)
         stream.normal(total, out=z[j])
@@ -382,16 +448,47 @@ def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indice
     mr = mt - mh
     units = sum(dims[l + 1] for l in range(len(space)) if not space[l])  # in function space
     tail_total, eval_total = units * mr, units * me
-    count = _normals_per_proposal(config, mt, mode, mh)
+    row = _normals_per_proposal(config, mt, mode, mh)  # a stage-1 row
+    # A screened run's block row holds the output layer's normals at p and the
+    # acceptance normal, the tail of a stage-1 row; stage 0 keeps a proposal
+    # unless u is above its bound, and a kept one draws the head of its row
+    # from its own key.
+    head_total, scale = 0, None
+    if screen is not None:
+        head_total = row - 1 - dims[-1] * (dims[-2] + 1 if space[-1] else 1)
+        scale = None if space[-1] else _scale_range(config, head[0])
+    count = row - head_total
     acc = MomentAccumulator.zeros(me * config.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
     lik_acc = MomentAccumulator.zeros(1)  # over the survivors; the others add zeros
-    # Floats held per survivor (stage-2 normals, a layer's train values) and
-    # per accept (eval normals, a layer's eval values, me x me covariances).
-    per_accept = max(count, eval_total, max(dims) * me, me * me if eval_total else 0)
-    per_live = max(count, tail_total, max(dims) * mt) if mr else per_accept
+    # Floats held per stage-1 proposal (its row, a layer's values at p), per
+    # survivor (stage-2 normals, a layer's train values) and per accept (eval
+    # normals, a layer's eval values, me x me covariances).
+    per_head = max(row, max(dims))
+    per_accept = max(row, eval_total, max(dims) * me, me * me if eval_total else 0)
+    per_live = max(row, tail_total, max(dims) * mt) if mr else per_accept
     stream = GaussianStream(seed, _EVAL_KEYS + lo) if eval_total or tail_total else None
-    for pos, z in _gather(seed, lo, hi, count):
+
+    def stage_one():
+        """Yield each batch of the proposals that stage 1 draws, by index, with
+        their stage-1 rows."""
+        for pos, z in _gather(seed, lo, hi, count):
+            kept = np.arange(z.shape[0])
+            if screen is None:
+                yield pos + kept, z
+                continue
+            if scale is not None:
+                cut = _log_bound(lik, y_head[0], z[:, :-1], *scale)
+                cut += _BOUND_MARGIN * (1.0 - cut)
+                kept = _accepted(z[:, -1], cut, np.exp(cut))
+            for rows in _slices(kept, per_head):
+                z_row = np.empty((rows.size, row))
+                z_row[:, head_total:] = z[rows]
+                _keyed_normals(stream, pos + rows, _HEAD_SUBSTREAM, head_total,
+                               z_row[:, :head_total])
+                yield pos + rows, z_row
+
+    for keys, z in stage_one():
         train_normals = list(layer_normals(z, config, mh, rule))
         # A conditioned extension reads each function-space layer's values and
         # its input activations at the train points, kept from stage 1.
@@ -407,7 +504,7 @@ def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indice
             layers = [None if f is None else f[part] for f in head_layers]
             acts = {l: g[part] for l, g in head_acts.items()}
             if mr:  # stage 2: the survivors `part` at the other train points
-                z_tail = _keyed_normals(stream, pos + part, _TAIL_SUBSTREAM, tail_total)
+                z_tail = _keyed_normals(stream, keys[part], _TAIL_SUBSTREAM, tail_total)
                 normals = _eval_normals(z_tail, train_normals, part, space, dims, mr)
                 tail_acts = {}
                 tail_layers = list(sample_layers(config, tail, normals, head, layers, rule=rule,
@@ -423,7 +520,7 @@ def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indice
                         for l, g in acts.items()}
             for sub in _slices(np.arange(part.size), per_accept):
                 rows = part[sub]
-                z_eval = _keyed_normals(stream, pos + rows, 0, eval_total)
+                z_eval = _keyed_normals(stream, keys[rows], 0, eval_total)
                 normals = _eval_normals(z_eval, train_normals, rows, space, dims, me)
                 picked = [None if f is None else f[sub] for f in layers]
                 g_picked = {l: g[sub] for l, g in acts.items()}
@@ -462,13 +559,16 @@ def rejection_sample(
     b), which ``record_params`` indexes; ``"function"`` puts a layer in
     weight space only when ``fan_in + 1 <= m_train`` and draws the others
     in function space; ``"auto"`` picks by ``_proposal_floats``. Proposals
-    are screened at one train point first where the module docstring says.
+    are screened where the module docstring says: on a bound of the output
+    at one train point p before any hidden layer is drawn (stage 0), then
+    on the output at p (stage 1).
 
     The default ``chunk_size`` holds ``numkit.BATCH_FLOATS // f`` proposals
     at ``f`` train-path floats per proposal (``_proposal_floats``), rounded
-    down to whole Philox blocks of ``64 * ceil(64 / n)`` proposals at ``n``
-    normals per block row and at least one block, so it depends only on the
-    config, ``train_x`` and the mode. With ``workers > 1`` at
+    down to whole multiples of ``64 * ceil(64 / n)`` proposals at ``n``
+    normals per stage-1 row and at least one such multiple, so it depends
+    only on the config, ``train_x`` and the mode; a screened run's block row
+    is shorter, so its chunks can start inside a block. With ``workers > 1`` at
     most ``2 * workers`` chunks are submitted ahead of the merge; a failing
     chunk cancels the queued ones. Accepted proposals are extended to
     ``eval_x`` in slices of about ``BATCH_FLOATS`` floats per array.

@@ -316,6 +316,7 @@ class TestCli:
                          "--seed", "1", "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: kl: spectral route")
+        assert "np.float64" not in lines[0]
 
     @pytest.mark.parametrize("grid,m", [("8,4", 2), ("16", 8), ("4,16,32", 8),
                                         ("16,32", 0)])

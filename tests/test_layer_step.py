@@ -62,3 +62,37 @@ def test_conditioning_on_one_point_matches_the_cholesky_solve(nonlinearity):
     expected = f_x @ a_mat + e @ np.swapaxes(chol_batch(schur), -1, -2)
     np.testing.assert_allclose(layer_step(cfg, g_t, e, (g_x, f_x)), expected,
                                rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("batch,units", [(1, 1), (1, 1000), (7, 3), (64, 1000), (333, 1),
+                                         (333, 17)])
+def test_one_point_products_equal_the_matmul(batch, units):
+    # A draw at one point (e @ L.T) and a conditioning on one point (f_x @ A)
+    # have an inner dimension of 1; layer_step takes them as broadcast
+    # products, which must give the matmul's bits.
+    from widebnn.numkit import chol_batch
+
+    cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=12)
+    sw, sb, d, t = cfg.sigma_w, cfg.sigma_b, 12, 3
+    rng = np.random.default_rng(batch * 1000 + units)
+    g = nonlinearity_fn("erf")(3.0 * rng.standard_normal((batch, d, 1 + t)))
+    g_x, g_t = g[..., :1], g[..., 1:]
+    e_x = rng.standard_normal((batch, units, 1))
+    l_xx = chol_batch(layer_cov(g_x, d, sw, sb))
+    want = e_x @ np.swapaxes(l_xx, -1, -2)
+    assert np.array_equal(layer_step(cfg, g_x, e_x), want)
+    out = np.empty_like(want)
+    assert layer_step(cfg, g_x, e_x, out=out) is out and np.array_equal(out, want)
+    # Inputs every draw shares (a first layer) broadcast the same way.
+    x = g_x[0]
+    assert np.array_equal(layer_step(cfg, x, e_x),
+                          e_x @ np.swapaxes(chol_batch(layer_cov(x, d, sw, sb)), -1, -2))
+
+    f_x = rng.standard_normal((batch, units, 1))
+    e_t = rng.standard_normal((batch, units, t))
+    c_xt = (sw ** 2 / d) * (np.swapaxes(g_x, -1, -2) @ g_t) + sb ** 2
+    inv = 1.0 / l_xx
+    a_mat = c_xt * inv * inv
+    schur = layer_cov(g_t, d, sw, sb) - np.swapaxes(c_xt, -1, -2) @ a_mat
+    want = f_x @ a_mat + e_t @ np.swapaxes(chol_batch(schur), -1, -2)
+    assert np.array_equal(layer_step(cfg, g_t, e_t, (g_x, f_x)), want)

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -151,6 +152,12 @@ class TestRateSweep:
         with pytest.raises(RouteMismatch, match=r"^kl: spectral route"):
             rate_sweep([16, 32], m=4, seed=1)
         assert threads and threading.get_ident() not in threads
+
+    def test_row_fields_are_python_numbers(self):
+        for row in rate_sweep([16, 64, 2048], m=4, seed=2):
+            assert type(row.n) is int
+            assert all(type(getattr(row, f.name)) is float
+                       for f in dataclasses.fields(row) if f.name != "n")
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

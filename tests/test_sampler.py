@@ -14,9 +14,9 @@ from widebnn.kernels import nngp_kernel
 from widebnn.numkit import BATCH_FLOATS
 from widebnn.likelihood import LikelihoodSpec, log_likelihood_batch
 from widebnn.linreg import LinRegProblem, linreg_predictive
-from widebnn.network import (NetworkConfig, layer_normals, nonlinearity_fn,
-                             normals_per_draw, sample_layers)
-from widebnn.numkit import GaussianStream
+from widebnn.network import (NONLINEARITIES, NetworkConfig, layer_cov, layer_normals,
+                             layer_step, nonlinearity_fn, normals_per_draw, sample_layers)
+from widebnn.numkit import GaussianStream, chol_batch
 from widebnn.sampler import (
     MomentAccumulator,
     _gather,
@@ -709,11 +709,12 @@ def screen_case(case):
 @pytest.mark.parametrize("case", ["gaussian", "categorical"])
 def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
     # Complete the train path of every proposal of a seeded run, screened out
-    # or not, from its stage-1 row and its stage-2 key: no screened-out
-    # proposal has u < l, and the full test accepts what the run accepted.
+    # or not, from its block row and its stage-1 and stage-2 keys: no
+    # proposal screened out at stage 0 or 1 has u < l, and the full test
+    # accepts what the run accepted.
     cfg, tx, ty, lik = screen_case(case)
     n, seed, mt, dims = 640, 3, tx.shape[0], cfg.layer_dims
-    screens = []
+    screens, stage_one = [], set()
 
     def spy(config, train_x, train_y, lik_, eval_x, seed_, lo, hi, mode, indices, scales,
             screen):
@@ -721,24 +722,37 @@ def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
         return runner(config, train_x, train_y, lik_, eval_x, seed_, lo, hi, mode, indices,
                       scales, screen)
 
-    runner = sampler._run_chunk
+    def rekey_spy(self, stream_id, substream=0):
+        if substream == 2:
+            stage_one.add(stream_id - sampler._EVAL_KEYS)
+        return rekey(self, stream_id, substream)
+
+    runner, rekey = sampler._run_chunk, GaussianStream.rekey
     monkeypatch.setattr(sampler, "_run_chunk", spy)
+    monkeypatch.setattr(GaussianStream, "rekey", rekey_spy)
     report = rejection_sample(cfg, tx, ty, lik, EX, n, seed=seed, mode="function",
                               chunk_size=256)
+    monkeypatch.setattr(GaussianStream, "rekey", rekey)
     p = screens[0]
     assert p == int(np.argmin(sampler._survival(cfg, tx, ty, lik)))
     rule = lambda fan_in, points: fan_in + 1 <= mt  # noqa: E731  (decided at m_train)
-    count = sum(u * (d + 1 if rule(d, mt) else 1) for d, u in zip(dims, dims[1:])) + 1
-    z = np.vstack([rows for _, rows in _gather(seed, 0, n, count)])
+    row = sum(u * (d + 1 if rule(d, mt) else 1) for d, u in zip(dims, dims[1:])) + 1
+    count = dims[-1] + 1  # the block row: the output layer at p, then u
+
+    def keyed(substream, total):  # every proposal's normals at a substream of its key
+        z = np.empty((n, total))
+        stream = GaussianStream(seed)
+        for i in range(n):
+            stream.rekey(sampler._EVAL_KEYS + i, substream)
+            stream.normal(total, out=z[i])
+        return z
+
+    z = np.hstack([keyed(2, row - count)] + [rows for _, rows in _gather(seed, 0, n, count)])
     theta = list(layer_normals(z, cfg, 1, rule))
     at_p = list(sample_layers(cfg, tx[[p]], theta, rule=rule))
     rest = np.arange(mt) != p
     per_unit = [0 if rule(d, mt) else u * (mt - 1) for d, u in zip(dims, dims[1:])]
-    z_tail = np.empty((n, sum(per_unit)))
-    stream = GaussianStream(seed)
-    for i in range(n):
-        stream.rekey(sampler._EVAL_KEYS + i, 1)
-        stream.normal(z_tail.shape[1], out=z_tail[i])
+    z_tail = keyed(1, sum(per_unit))
     cuts = np.cumsum([0] + per_unit)
     normals = [th if not k else z_tail[:, a:a + k].reshape(n, -1, mt - 1)
                for th, a, k in zip(theta, cuts, per_unit)]
@@ -752,6 +766,58 @@ def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
     assert not np.any(log_u[out_at_p] < logl[out_at_p])
     assert report.survivors == n - out_at_p.sum()
     assert report.accepts == np.sum(log_u < logl) > 0
+    # Stage 0 keeps a superset of the stage-1 survivors and rejects only
+    # proposals with u >= l_p.
+    out_at_0 = ~np.isin(np.arange(n), sorted(stage_one))
+    assert 0 < out_at_0.sum() <= out_at_p.sum()
+    assert not np.any(log_u[out_at_0] < logl_p[out_at_0])
+
+
+@pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
+@pytest.mark.parametrize("sigma_b", [0.0, 0.3])
+@pytest.mark.parametrize("depth", [0, 3])
+@pytest.mark.parametrize("case", ["gaussian-1", "gaussian-2", "categorical-3"])
+def test_stage_zero_bound_holds_for_every_last_hidden_layer(nonlinearity, sigma_b, depth,
+                                                            case):
+    # The output layer at p, drawn through layer_step and chol_batch from
+    # random last hidden layers (all zero, saturated, and spread over six
+    # decades), never has a computed l_p above the stage-0 bound.
+    kind, outputs = case.split("-")
+    outputs = int(outputs)
+    cfg = NetworkConfig(depth=depth, input_dim=3, output_dim=outputs, hidden_width=7,
+                        sigma_b=sigma_b, nonlinearity=nonlinearity)
+    rng = np.random.default_rng([depth, outputs, int(10 * sigma_b)])
+    n, x_p = 6_000, np.array([0.7, -1.3, 2.1])
+    if depth == 0:
+        g = x_p[:, None]  # the inputs at p
+    else:
+        h = rng.standard_normal((n, 7, 1)) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
+        h[:500] = 0.0  # phi = 0: C = sigma_b^2, the lower end
+        h[500:1000] = 50.0 * np.sign(h[500:1000])  # erf saturates: C = sigma_w^2 + sigma_b^2
+        g = nonlinearity_fn(nonlinearity)(h)
+    e = rng.standard_normal((n, outputs, 1))
+    if kind == "gaussian":
+        lik = LikelihoodSpec("gaussian", sigma2=0.1)
+        y_p = rng.uniform(-2.5, 2.5, outputs)
+    else:
+        lik = LikelihoodSpec("categorical", num_classes=outputs)
+        y_p = np.eye(outputs)[1]
+    f = layer_step(cfg, g, e)
+    logl = log_likelihood_batch(lik, np.swapaxes(f, 1, 2), y_p[None])
+    s_lo, s_hi = sampler._scale_range(cfg, x_p)
+    bound = sampler._log_bound(lik, y_p, e[..., 0], s_lo, s_hi)
+    assert np.all(logl <= bound + sampler._BOUND_MARGIN * (1.0 - bound))
+    assert np.all(logl <= bound + 1e-12 * (1.0 - bound))  # the margin is for rounding only
+    scale = chol_batch(layer_cov(g, g.shape[-2], cfg.sigma_w, cfg.sigma_b))[..., 0, 0]
+    assert np.all((s_lo <= scale) & (scale <= s_hi))
+    if depth == 0:  # s is known exactly: the bound is l_p itself
+        np.testing.assert_allclose(bound, logl, rtol=1e-8, atol=1e-8)
+    else:  # both ends of the range of s are met
+        assert scale.min() ** 2 == pytest.approx(sigma_b ** 2, abs=2e-12)
+        if nonlinearity == "erf":
+            assert scale.max() == pytest.approx(s_hi, rel=1e-8)
+        else:
+            assert s_hi == np.inf
 
 
 @pytest.mark.parametrize("nonlinearity", ["erf", "relu"])
@@ -813,9 +879,10 @@ def test_stage_two_substream_is_apart_from_block_ids_and_the_dataset_stream(monk
     last_block = top // sampler._BLOCK
     assert sampler._EVAL_KEYS > DATASET_STREAM_ID > last_block
     assert sampler._EVAL_KEYS + top < 1 << 64
-    # On proposal i's own key, stage 2 takes substream 1 and the eval
-    # extension substream 0, whose 2**128 Philox blocks it never exhausts.
-    assert sampler._TAIL_SUBSTREAM == 1
+    # On proposal i's own key, stage 1 takes substream 2, stage 2 substream 1
+    # and the eval extension substream 0, whose 2**128 Philox blocks it never
+    # exhausts.
+    assert sampler._HEAD_SUBSTREAM == 2 and sampler._TAIL_SUBSTREAM == 1
     keys = []
     rekey = GaussianStream.rekey
 
@@ -829,18 +896,44 @@ def test_stage_two_substream_is_apart_from_block_ids_and_the_dataset_stream(monk
                               LikelihoodSpec("gaussian", sigma2=0.25), EX, n, seed=2,
                               mode="function", chunk_size=500)
     blocks = {k for k, s in keys if k < sampler._EVAL_KEYS}
+    head = [k - sampler._EVAL_KEYS for k, s in keys if s == 2]
     tail = [k - sampler._EVAL_KEYS for k, s in keys if s == 1]
     evals = collections.Counter(k - sampler._EVAL_KEYS for k, s in keys
                                 if k >= sampler._EVAL_KEYS and s == 0)
-    assert {s for _, s in keys} == {0, 1}
+    assert {s for _, s in keys} == {0, 1, 2}
     assert max(blocks) < DATASET_STREAM_ID and all(s == 0 for k, s in keys if k in blocks)
     assert len(tail) == len(set(tail)) == report.survivors < n
-    assert all(0 <= i < n for i in tail)
+    assert len(head) == len(set(head)) < n and set(tail) <= set(head)
+    assert all(0 <= i < n for i in head)
     # Each chunk's stream starts at the chunk's first key; then every
     # accepted proposal re-keys once, and it survived stage 1.
     evals.subtract(range(0, n, 500))
     accepted = +evals
     assert sum(accepted.values()) == report.accepts > 0 and set(accepted) <= set(tail)
+
+
+def test_weight_space_output_layer_passes_every_proposal_to_stage_one(monkeypatch):
+    # 4 inputs on 3 train points put the first layer in function space and,
+    # at width 1, the output layer in weight space: stage 0 has no bound and
+    # every proposal draws its stage-1 row from its own key.
+    cfg = NetworkConfig(depth=2, input_dim=4, output_dim=1, hidden_width=1)
+    rng = np.random.default_rng(3)
+    tx, ex = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+    ty = 0.5 * tx[:, :1]
+    lik = LikelihoodSpec("gaussian", sigma2=0.25)
+    heads, rekey = [], GaussianStream.rekey
+
+    def spy(self, stream_id, substream=0):
+        if substream == 2:
+            heads.append(stream_id - sampler._EVAL_KEYS)
+        return rekey(self, stream_id, substream)
+
+    monkeypatch.setattr(GaussianStream, "rekey", spy)
+    rf = rejection_sample(cfg, tx, ty, lik, ex, 20_000, seed=4, mode="function")
+    assert sorted(heads) == list(range(20_000)) and 0 < rf.survivors < 20_000
+    rp = rejection_sample(cfg, tx, ty, lik, ex, 20_000, seed=4, mode="parameter")
+    assert abs(rp.mean_likelihood - rf.mean_likelihood) < 4 * np.hypot(
+        rp.mean_likelihood_se, rf.mean_likelihood_se)
 
 
 def test_modes_share_default_chunks_when_every_layer_is_in_weight_space():
