@@ -1,9 +1,9 @@
 """Experiment orchestration: datasets, width sweeps, rate study, CSV output.
 
-Configs are plain JSON documents mirroring :class:`ExperimentConfig` field
-names exactly; unknown keys are rejected. CSV values are rendered with 17
-significant digits so runs with the same config are byte-identical apart
-from the wall_seconds column.
+Config keys are the fields of the config dataclasses (:func:`config_from_dict`)
+and sweep CSV columns those of :class:`SweepRow`; unknown keys are rejected.
+CSV values are rendered with 17 significant digits so runs with the same
+config are byte-identical apart from the wall_seconds column.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .likelihood import LikelihoodSpec
 from .linreg import RateRow, fit_loglog_slope, rate_sweep
 from .metrics import rel_frobenius
 from .network import NetworkConfig, forward, sample_prior
-from .numkit import GaussianStream, is_int
+from .numkit import GaussianStream, is_finite_number, is_int
 from .sampler import rejection_sample
 
 __all__ = [
@@ -42,6 +42,10 @@ __all__ = [
 DATASET_STREAM_ID = 1 << 62
 
 TARGET_RULES = ("sin", "prior_draw")
+# The config sections that group ExperimentConfig fields; every other field
+# is a top-level key.
+SECTIONS = {"dataset": ("train_m", "train_range", "target_rule"),
+            "eval": ("test_m", "test_range")}
 
 
 @dataclass
@@ -75,53 +79,44 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
         if self.target_rule not in TARGET_RULES:
             raise ConfigError(f"target_rule must be one of {TARGET_RULES}")
+        if not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        for name in ("train_range", "test_range"):
+            value = getattr(self, name)
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(is_finite_number, value))):
+                raise ConfigError(f"{name} must be two finite numbers, got {value!r}")
+            setattr(self, name, tuple(float(v) for v in value))
 
 
-def _take(obj: dict, allowed: dict, where: str) -> dict:
-    unknown = set(obj) - set(allowed)
+def _take(doc, where: str, keys) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    return {k: obj[k] for k in obj}
+    return doc
+
+
+def _names(cls) -> List[str]:
+    return [f.name for f in fields(cls)]
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed JSON document, strictly."""
-    top = _take(doc, dict.fromkeys(
-        ["network", "likelihood", "dataset", "eval", "widths",
-         "n_proposals", "seed", "workers", "output_path"]), "config")
+    """Build an ExperimentConfig from a parsed JSON document, strictly.
+
+    ``network`` and ``likelihood`` take the fields of :class:`NetworkConfig`
+    and :class:`LikelihoodSpec`; the other :class:`ExperimentConfig` fields are
+    top-level keys or sit in their ``SECTIONS`` object. Each dataclass
+    validates its fields; any failure raises :class:`ConfigError`."""
+    grouped = {k for keys in SECTIONS.values() for k in keys}
+    top = _take(doc, "config", (set(_names(ExperimentConfig)) - grouped) | set(SECTIONS))
+    kwargs = {k: v for k, v in top.items() if k not in SECTIONS}
+    for section, keys in SECTIONS.items():
+        kwargs.update(_take(top.get(section, {}), section, keys))
     try:
-        net_doc = _take(top.get("network", {}), dict.fromkeys(
-            ["depth", "input_dim", "output_dim", "hidden_width",
-             "sigma_w", "sigma_b", "nonlinearity", "parametrisation"]), "network")
-        net_doc.setdefault("hidden_width", 1)  # overridden per sweep width
-        network = NetworkConfig(**net_doc)
-        lik_doc = _take(top.get("likelihood", {}), dict.fromkeys(
-            ["kind", "sigma2", "num_classes"]), "likelihood")
-        likelihood = LikelihoodSpec(**lik_doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    ds = _take(top.get("dataset", {}), dict.fromkeys(
-        ["train_m", "train_range", "target_rule"]), "dataset")
-    ev = _take(top.get("eval", {}), dict.fromkeys(
-        ["test_m", "test_range"]), "eval")
-    kwargs = dict(
-        network=network,
-        likelihood=likelihood,
-    )
-    if "train_m" in ds:
-        kwargs["train_m"] = ds["train_m"]
-    if "train_range" in ds:
-        kwargs["train_range"] = tuple(float(v) for v in ds["train_range"])
-    if "target_rule" in ds:
-        kwargs["target_rule"] = ds["target_rule"]
-    if "test_m" in ev:
-        kwargs["test_m"] = ev["test_m"]
-    if "test_range" in ev:
-        kwargs["test_range"] = tuple(float(v) for v in ev["test_range"])
-    for key in ("widths", "n_proposals", "seed", "workers", "output_path"):
-        if key in top:
-            kwargs[key] = top[key]
-    try:
+        for key, cls in (("network", NetworkConfig), ("likelihood", LikelihoodSpec)):
+            kwargs[key] = cls(**_take(top.get(key, {}), key, _names(cls)))
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -131,10 +126,8 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8 text
             raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
     return config_from_dict(doc)
 
 
@@ -146,8 +139,10 @@ def _grid(m: int, lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, m)[:, None]
 
 
-def build_dataset(config: ExperimentConfig, stream: GaussianStream):
-    """Equidistant train/test grids plus targets per the configured rule."""
+def build_dataset(config: ExperimentConfig):
+    """Equidistant train/test grids plus targets per the configured rule; a
+    ``prior_draw`` rule draws its network from ``GaussianStream(config.seed,
+    DATASET_STREAM_ID)``."""
     if config.network.input_dim != 1:
         raise ConfigError("grid datasets require input_dim = 1")
     train_x = _grid(config.train_m, *config.train_range)
@@ -158,7 +153,7 @@ def build_dataset(config: ExperimentConfig, stream: GaussianStream):
         train_y = np.tile(np.sin(train_x), (1, config.network.output_dim))
     else:  # prior_draw: realizable targets from one fixed draw at max width
         cfg = config.network.with_width(max(config.widths))
-        params = sample_prior(cfg, stream)
+        params = sample_prior(cfg, GaussianStream(config.seed, DATASET_STREAM_ID))
         train_y = forward(params, cfg, train_x)
     return train_x, train_y, test_x
 
@@ -182,8 +177,7 @@ def width_sweep(config: ExperimentConfig) -> List[SweepRow]:
     Frobenius distance of its posterior moments to the NNGP and NTK ones."""
     if config.likelihood.kind != "gaussian":
         raise ConfigError("the width sweep requires a gaussian likelihood")
-    stream = GaussianStream(config.seed, DATASET_STREAM_ID)
-    train_x, train_y, test_x = build_dataset(config, stream)
+    train_x, train_y, test_x = build_dataset(config)
     sigma2 = config.likelihood.sigma2
 
     rows = []
@@ -219,17 +213,13 @@ def _fmt(value) -> str:
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
+    """One column per :class:`SweepRow` field, in order; an empty cell for None."""
+    names = _names(SweepRow)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["width", "proposals", "accepts", "rf_mean_nngp",
-                         "rf_cov_nngp", "rf_mean_ntk", "rf_cov_ntk",
-                         "mean_likelihood", "mean_likelihood_se", "wall_seconds"])
+        writer.writerow(names)
         for r in rows:
-            writer.writerow([_fmt(r.width), _fmt(r.proposals), _fmt(r.accepts),
-                             _fmt(r.rf_mean_nngp), _fmt(r.rf_cov_nngp),
-                             _fmt(r.rf_mean_ntk), _fmt(r.rf_cov_ntk),
-                             _fmt(r.mean_likelihood), _fmt(r.mean_likelihood_se),
-                             _fmt(r.wall_seconds)])
+            writer.writerow([_fmt(getattr(r, name)) for name in names])
 
 
 def linreg_rates_csv(n_grid: Sequence[int], m: int, seed: int, path: str) -> List[RateRow]:
@@ -239,16 +229,12 @@ def linreg_rates_csv(n_grid: Sequence[int], m: int, seed: int, path: str) -> Lis
     computed internally). A grid the study cannot run raises
     :class:`ConfigError`: fewer than two points (no slope), not strictly
     increasing, or a point below ``m``."""
-    n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 2:
         raise ConfigError("n_grid needs at least two points for the slope footer")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ConfigError("n_grid must be strictly increasing")
-    if m < 1:
-        raise ConfigError("m must be >= 1")
-    if n_grid[0] < m:
-        raise ConfigError(f"every n must be >= m = {m}")
-    rows = rate_sweep(n_grid=n_grid, m=m, seed=seed)
+    try:
+        rows = rate_sweep(n_grid, m, seed)
+    except ValueError as exc:  # the grid checks of rate_sweep
+        raise ConfigError(str(exc)) from exc
     ns = [r.n for r in rows]
     cols = {
         "w2": [float(np.sqrt(r.w2_sq)) for r in rows],

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedTarget
+from .numkit import is_finite_number, is_int
 
 __all__ = [
     "LikelihoodSpec",
@@ -35,11 +36,11 @@ class LikelihoodSpec:
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            if self.sigma2 is None or not self.sigma2 > 0:
-                raise ValueError("gaussian likelihood requires sigma2 > 0")
+            if not (is_finite_number(self.sigma2) and self.sigma2 > 0):
+                raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         elif self.kind == "categorical":
-            if self.num_classes is None or self.num_classes < 2:
-                raise ValueError("categorical likelihood requires num_classes >= 2")
+            if not (is_int(self.num_classes) and self.num_classes >= 2):
+                raise ValueError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
         else:
             raise ValueError(f"unknown likelihood kind {self.kind!r}")
 

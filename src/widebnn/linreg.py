@@ -13,7 +13,7 @@ design matrix has m rows (observations) and n columns (features).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 import scipy.special
@@ -33,6 +33,11 @@ __all__ = [
     "fit_loglog_slope",
     "uniform_design_rule",
 ]
+
+# Rate-study rows for n up to this are checked against the general
+# full-matrix routes, to this relative tolerance (:func:`rate_sweep`).
+_DUAL_CHECK_MAX_N = 1024
+_DUAL_CHECK_TOL = 1e-8
 
 
 @dataclass
@@ -137,41 +142,40 @@ def rate_sweep(
     n_grid: Sequence[int],
     m: int = 8,
     seed: int = 0,
-    data_rule: Optional[Callable[[int, int, GaussianStream], np.ndarray]] = None,
-    dual_check_max_n: int = 1024,
-    dual_check_tol: float = 1e-8,
 ) -> List[RateRow]:
     """Prior-to-posterior discrepancies along a feature-count grid.
 
-    All spectral quantities exploit that X^T X has rank at most m, so the
-    sweep runs in O(m^2 n) per grid point. For n up to ``dual_check_max_n``
-    the squared W2 and the KL are recomputed through the general full-matrix
-    routines in :mod:`widebnn.metrics` and must agree with the spectral
-    expansion within ``dual_check_tol``, else :class:`RouteMismatch` is
-    raised; full matrices at the top of the grid
-    would be too large to factor, so the dual route is capped. The four
-    general-route calls of a grid point (W2 and KL, before and after the
-    rescaling) run concurrently through :func:`numkit.ordered_map`, at most
-    min(cores, 4) in flight, and are compared in that order; every row
-    comes from the spectral route, so rows do not depend on the core count.
+    Grid point k's m x n design is :func:`uniform_design_rule` on
+    ``GaussianStream(seed, 2 + k)`` and the m targets are normals of key
+    ``(seed, 1)``. X^T X has rank at most m, so the spectral quantities take
+    O(m^2 n) per grid point. For n up to 1024 the squared W2 and the KL are
+    recomputed through the general full-matrix routines in
+    :mod:`widebnn.metrics` and must agree with the spectral expansion within
+    a relative 1e-8, else :class:`RouteMismatch` is raised; full matrices at
+    the top of the grid would be too large to factor, so the dual route is
+    capped. The four general-route calls of a grid point (W2 and KL, before
+    and after the rescaling) run concurrently through
+    :func:`numkit.ordered_map`, at most min(cores, 4) in flight, and are
+    compared in that order; every row comes from the spectral route, so rows
+    do not depend on the core count.
     """
     n_grid = [int(n) for n in n_grid]
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     if any(n < m for n in n_grid):
-        raise ValueError("every n must be >= m")
-    if data_rule is None:
-        data_rule = uniform_design_rule
+        raise ValueError(f"every n must be >= m = {m}")
     y = GaussianStream(seed, 1).normal(m)
 
     rows = []
     for idx, n in enumerate(n_grid):
-        x = data_rule(m, n, GaussianStream(seed, 2 + idx))
-        rows.append(_rate_row(x, y, dual_check_max_n, dual_check_tol))
+        x = uniform_design_rule(m, n, GaussianStream(seed, 2 + idx))
+        rows.append(_rate_row(x, y))
     return rows
 
 
-def _rate_row(x: np.ndarray, y: np.ndarray, dual_max: int, tol: float) -> RateRow:
+def _rate_row(x: np.ndarray, y: np.ndarray) -> RateRow:
     m, n = x.shape
     gram = x @ x.T
     lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)  # nonzero spectrum of X^T X
@@ -195,8 +199,8 @@ def _rate_row(x: np.ndarray, y: np.ndarray, dual_max: int, tol: float) -> RateRo
     lam_min_kn = float(lam.min()) / n
     trace_bound = (m / n) * (1.0 - (1.0 + lam_min_kn) ** -0.5) ** 2
 
-    if n <= dual_max:
-        _dual_check(x, y, mu, w2_sq, kl, w2_ntk_sq, kl_ntk, tol)
+    if n <= _DUAL_CHECK_MAX_N:
+        _dual_check(x, y, mu, w2_sq, kl, w2_ntk_sq, kl_ntk)
 
     return RateRow(
         n=n,
@@ -210,7 +214,7 @@ def _rate_row(x: np.ndarray, y: np.ndarray, dual_max: int, tol: float) -> RateRo
     )
 
 
-def _dual_check(x, y, mu, w2_sq, kl, w2_ntk_sq, kl_ntk, tol):
+def _dual_check(x, y, mu, w2_sq, kl, w2_ntk_sq, kl_ntk):
     n = x.shape[1]
     post = linreg_posterior(LinRegProblem(x, y))
     if not np.allclose(post.mean, mu, rtol=0, atol=1e-12):
@@ -226,7 +230,7 @@ def _dual_check(x, y, mu, w2_sq, kl, w2_ntk_sq, kl_ntk, tol):
                                min(available_cores(), len(calls))))
     for got, want, label in zip(results, [w2_sq, kl, w2_ntk_sq, kl_ntk],
                                 ["w2_sq", "kl", "w2_ntk_sq", "kl_ntk"]):
-        if abs(got - want) > tol * max(1.0, abs(want)):
+        if abs(got - want) > _DUAL_CHECK_TOL * max(1.0, abs(want)):
             raise RouteMismatch(
                 f"{label}: spectral route {want!r} vs general route {got!r}"
             )

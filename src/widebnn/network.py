@@ -18,7 +18,8 @@ import numpy as np
 import scipy.special
 
 from .errors import DimensionMismatch
-from .numkit import BATCH_FLOATS, GaussianStream, as_matrix, chol_batch, is_int, ordered_map
+from .numkit import (BATCH_FLOATS, GaussianStream, as_matrix, chol_batch, is_finite_number,
+                     is_int, ordered_map)
 from .numkit import available_cores as _available_cores  # module-level, so tests can patch it
 
 __all__ = [
@@ -52,29 +53,29 @@ class NetworkConfig:
     """Architecture and prior scales of a fully connected BNN.
 
     ``depth`` counts hidden layers; the network has ``depth + 1`` weight
-    matrices. All hidden layers share ``hidden_width``. Defaults
-    sigma_w**2 = 2.0 and sigma_b**2 = 0.1 keep the deep erf kernel
-    non-degenerate.
+    matrices. All hidden layers share ``hidden_width``, which a width sweep
+    sets per width. Defaults sigma_w**2 = 2.0 and sigma_b**2 = 0.1 keep the
+    deep erf kernel non-degenerate.
     """
 
     depth: int
     input_dim: int
     output_dim: int
-    hidden_width: int
+    hidden_width: int = 1
     sigma_w: float = float(np.sqrt(2.0))
     sigma_b: float = float(np.sqrt(0.1))
     nonlinearity: str = "erf"
     parametrisation: str = "standard"
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if min(self.input_dim, self.output_dim, self.hidden_width) < 1:
-            raise ValueError("all dimensions must be >= 1")
-        if not self.sigma_w > 0:
-            raise ValueError("sigma_w must be > 0")
-        if self.sigma_b < 0:
-            raise ValueError("sigma_b must be >= 0")
+        for name, least in (("depth", 0), ("input_dim", 1), ("output_dim", 1), ("hidden_width", 1)):
+            value = getattr(self, name)
+            if not is_int(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (is_finite_number(self.sigma_w) and self.sigma_w > 0):
+            raise ValueError(f"sigma_w must be finite and > 0, got {self.sigma_w!r}")
+        if not (is_finite_number(self.sigma_b) and self.sigma_b >= 0):
+            raise ValueError(f"sigma_b must be finite and >= 0, got {self.sigma_b!r}")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
         if self.parametrisation not in PARAMETRISATIONS:
@@ -372,7 +373,6 @@ def prior_function_draws(
     x,
     n_draws: int,
     stream: GaussianStream,
-    batch_size: Optional[int] = None,
 ) -> np.ndarray:
     """Exact samples of network outputs at fixed points under the prior.
 
@@ -389,11 +389,11 @@ def prior_function_draws(
     them, starting with the first layer's weights W and then biases b, from
     substream ``s + i`` of the stream's key, ``s =
     stream.fresh_substream()``, and the stream is left at substream ``s +
-    n_draws``: the result is deterministic given the stream, whatever
-    ``batch_size`` and the core count. Draws are made ``batch_size`` at a
-    time, by default about 2**17 floats (1 MB) per layer, 13 draws at width
-    1000 on 10 points, through :func:`numkit.ordered_map` on at most the
-    available cores, so a call of one batch runs on the calling thread.
+    n_draws``: the result is deterministic given the stream, whatever the
+    batch size and the core count. Draws are made in batches of about
+    ``numkit.BATCH_FLOATS`` (2**17) floats (1 MB) per layer, 13 draws at
+    width 1000 on 10 points, through :func:`numkit.ordered_map` on at most
+    the available cores, so a call of one batch runs on the calling thread.
     Each thread of a call allocates its batch arrays once, at its first
     batch, and writes every later batch into them.
     """
@@ -405,10 +405,7 @@ def prior_function_draws(
     if not is_int(n_draws) or n_draws < 0:
         raise ValueError(f"n_draws must be an integer >= 0, got {n_draws!r}")
     m = pts.shape[0]
-    if batch_size is None:
-        batch_size = max(1, BATCH_FLOATS // max(config.hidden_width * m, 1))
-    if not is_int(batch_size) or batch_size < 1:
-        raise ValueError("batch_size must be an integer >= 1")
+    batch_size = max(1, BATCH_FLOATS // max(config.hidden_width * m, 1))
 
     draws = np.empty((n_draws, m, config.output_dim))
     first = stream.fresh_substream()

@@ -57,6 +57,11 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_finite_number(value) -> bool:
+    """True for an integer (:func:`is_int`) or a finite Python or NumPy float."""
+    return is_int(value) or (isinstance(value, (float, np.floating)) and bool(np.isfinite(value)))
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array and reject non-finite entries."""
     m = np.asarray(a, dtype=np.float64)

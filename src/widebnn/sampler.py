@@ -114,7 +114,7 @@ from .kernels import nngp_kernel
 from .likelihood import LikelihoodSpec, log_likelihood_batch
 from .network import NetworkConfig, layer_normals, normals_per_draw, sample_layers, weight_space
 from .numkit import BATCH_FLOATS as _BATCH_BUDGET  # doubles held per gather batch
-from .numkit import GaussianStream, as_matrix, is_int, ordered_map
+from .numkit import GaussianStream, as_matrix, available_cores, is_int, ordered_map
 
 __all__ = [
     "MomentAccumulator",
@@ -142,7 +142,7 @@ _RULES = {"parameter": lambda fan_in, points: True, "function": weight_space}
 
 @dataclass
 class MomentAccumulator:
-    """Streaming count / mean / centred scatter in Welford form."""
+    """Streaming count / mean / centred scatter, merged pairwise."""
 
     count: int
     mean: np.ndarray
@@ -153,22 +153,15 @@ class MomentAccumulator:
         return cls(0, np.zeros(dim), np.zeros((dim, dim)))
 
     def update(self, sample) -> None:
-        x = np.asarray(sample, dtype=np.float64).reshape(-1)
-        if x.size != self.mean.size:
-            raise DimensionMismatch("sample dimension does not match accumulator")
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        # (x - new_mean) is delta * (count-1)/count, so the outer product
-        # stays exactly symmetric.
-        self.scatter += np.outer(delta, delta) * ((self.count - 1) / self.count)
+        """Add one sample: :meth:`update_block` on one row."""
+        self.update_block(np.asarray(sample, dtype=np.float64).reshape(1, -1))
 
     def update_block(self, samples) -> None:
         """Add every row of ``samples`` at once.
 
         The block's mean and centred scatter (one matmul) are merged in by
         :meth:`merge_in`, the pairwise update of Chan, Golub & LeVeque
-        (1979); the result equals sequential :meth:`update` up to rounding.
+        (1979); the result equals adding the rows one by one up to rounding.
         """
         x = np.asarray(samples, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.mean.size:
@@ -204,7 +197,7 @@ class MomentAccumulator:
 
 
 def accumulate(acc: MomentAccumulator, sample) -> MomentAccumulator:
-    """Single-pass Welford update; returns the updated accumulator."""
+    """Add one sample (:meth:`MomentAccumulator.update`); returns the accumulator."""
     acc.update(sample)
     return acc
 
@@ -568,10 +561,12 @@ def rejection_sample(
     down to whole multiples of ``64 * ceil(64 / n)`` proposals at ``n``
     normals per stage-1 row and at least one such multiple, so it depends
     only on the config, ``train_x`` and the mode; a screened run's block row
-    is shorter, so its chunks can start inside a block. With ``workers > 1`` at
-    most ``2 * workers`` chunks are submitted ahead of the merge; a failing
-    chunk cancels the queued ones. Accepted proposals are extended to
-    ``eval_x`` in slices of about ``BATCH_FLOATS`` floats per array.
+    is shorter, so its chunks can start inside a block. Chunks run on
+    ``min(workers, numkit.available_cores())`` threads, at most twice that
+    many submitted ahead of the merge, so threads and memory stay bounded
+    whatever ``workers`` is; a failing chunk cancels the queued ones.
+    Accepted proposals are extended to ``eval_x`` in slices of about
+    ``BATCH_FLOATS`` floats per array.
     Deterministic given (seed, chunk_size); independent of ``workers``.
     """
     for name, value in (("n_proposals", n_proposals),
@@ -628,7 +623,7 @@ def rejection_sample(
     lik_acc = MomentAccumulator.zeros(1)
     # Each chunk is merged as it arrives, in ascending chunk order.
     for chunk_acc, chunk_pstats, chunk_lik in ordered_map(
-            run, range(0, n_proposals, chunk_size), workers):
+            run, range(0, n_proposals, chunk_size), min(workers, available_cores())):
         acc.merge_in(chunk_acc)
         lik_acc.merge_in(chunk_lik)
         if pstats is not None:

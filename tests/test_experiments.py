@@ -1,5 +1,9 @@
 import csv
 import json
+import math
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,9 @@ import pytest
 from widebnn.errors import BadRange, ConfigError
 from widebnn.experiments import (
     DATASET_STREAM_ID,
+    SECTIONS,
     ExperimentConfig,
+    SweepRow,
     build_dataset,
     config_from_dict,
     linreg_rates_csv,
@@ -47,6 +53,36 @@ class TestConfigParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_doc(bogus=1))
+
+    @pytest.mark.parametrize("where", [None, "network", "likelihood", "dataset", "eval"])
+    def test_unknown_key_in_each_place(self, where):
+        doc = base_doc()
+        (doc if where is None else doc[where])["bogus"] = 1
+        where = where or "config"
+        with pytest.raises(ConfigError, match=rf"unknown keys in {where}: \['bogus'\]"):
+            config_from_dict(doc)
+
+    def test_every_dataclass_field_is_reachable_from_json(self):
+        # Each value differs from its field's default, so each one must have
+        # been read from the document.
+        net = NetworkConfig(depth=2, input_dim=1, output_dim=3, hidden_width=7, sigma_w=1.5,
+                            sigma_b=0.0, nonlinearity="relu", parametrisation="ntk")
+        lik = LikelihoodSpec("categorical", sigma2=0.3, num_classes=3)
+        want = ExperimentConfig(net, lik, train_m=5, train_range=(-2.0, 1.0),
+                                target_rule="prior_draw", test_m=7, test_range=(0.0, 3.0),
+                                widths=[2, 7], n_proposals=99, seed=4, workers=2,
+                                output_path="x.csv")
+        for obj in (net, lik, want):
+            for f in fields(obj):
+                assert f.default is MISSING or getattr(obj, f.name) != f.default
+        doc = {name: {f.name: getattr(obj, f.name) for f in fields(obj)}
+               for name, obj in (("network", net), ("likelihood", lik))}
+        for f in fields(ExperimentConfig):
+            if f.name not in doc:
+                section = [s for s, keys in SECTIONS.items() if f.name in keys]
+                target = doc.setdefault(section[0], {}) if section else doc
+                target[f.name] = getattr(want, f.name)
+        assert config_from_dict(json.loads(json.dumps(doc))) == want
 
     def test_unknown_nested_key(self):
         doc = base_doc()
@@ -112,6 +148,9 @@ class TestConfigParsing:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             load_config(str(path))
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(str(path))
 
 
 class TestBuildDataset:
@@ -122,7 +161,7 @@ class TestBuildDataset:
         cfg = self.cfg()
         cfg.test_m = 100
         cfg.test_range = (-np.pi, np.pi)
-        _, _, test_x = build_dataset(cfg, GaussianStream(0, DATASET_STREAM_ID))
+        _, _, test_x = build_dataset(cfg)
         assert test_x.shape == (100, 1)
         assert np.isclose(test_x[0, 0], -np.pi)
         assert np.isclose(test_x[-1, 0], np.pi)
@@ -132,7 +171,7 @@ class TestBuildDataset:
         doc = base_doc()
         doc["dataset"] = {"train_m": 1, "train_range": [0.0, 0.0]}
         cfg = config_from_dict(doc)
-        train_x, train_y, _ = build_dataset(cfg, GaussianStream(0, DATASET_STREAM_ID))
+        train_x, train_y, _ = build_dataset(cfg)
         assert train_x.shape == (1, 1) and train_x[0, 0] == 0.0
         assert train_y[0, 0] == 0.0  # sin(0)
 
@@ -140,7 +179,7 @@ class TestBuildDataset:
         doc = base_doc()
         doc["dataset"] = {"train_m": 3, "train_range": [0.0, np.pi / 2]}
         cfg = config_from_dict(doc)
-        _, train_y, _ = build_dataset(cfg, GaussianStream(0, DATASET_STREAM_ID))
+        _, train_y, _ = build_dataset(cfg)
         assert np.isclose(train_y[-1, 0], 1.0)  # sin(pi/2)
 
     def test_bad_range(self):
@@ -148,19 +187,18 @@ class TestBuildDataset:
         doc["dataset"]["train_range"] = [1.0, -1.0]
         cfg = config_from_dict(doc)
         with pytest.raises(BadRange):
-            build_dataset(cfg, GaussianStream(0, DATASET_STREAM_ID))
+            build_dataset(cfg)
 
     def test_prior_draw_is_realizable_and_deterministic(self):
         doc = base_doc()
         doc["dataset"]["target_rule"] = "prior_draw"
         cfg = config_from_dict(doc)
-        stream_id = DATASET_STREAM_ID
-        tx, ty, _ = build_dataset(cfg, GaussianStream(cfg.seed, stream_id))
-        tx2, ty2, _ = build_dataset(cfg, GaussianStream(cfg.seed, stream_id))
+        tx, ty, _ = build_dataset(cfg)
+        tx2, ty2, _ = build_dataset(cfg)
         assert np.array_equal(ty, ty2)
         # Targets equal the forward pass of the same fixed draw at max width.
         net = cfg.network.with_width(max(cfg.widths))
-        params = sample_prior(net, GaussianStream(cfg.seed, stream_id))
+        params = sample_prior(net, GaussianStream(cfg.seed, DATASET_STREAM_ID))
         assert np.allclose(ty, forward(params, net, tx))
 
 
@@ -229,6 +267,20 @@ class TestWidthSweep:
             assert float(line["mean_likelihood"]) == r.mean_likelihood
             assert float(line["mean_likelihood_se"]) == r.mean_likelihood_se
 
+    def test_csv_columns_are_the_sweep_row_fields(self, tmp_path):
+        names = [f.name for f in fields(SweepRow)]
+        values = list(range(len(names)))
+        values[3] = None
+        out = tmp_path / "sweep.csv"
+        write_sweep_csv([SweepRow(*values)], str(out))
+        with open(out) as fh:
+            got = list(csv.reader(fh))
+        assert got == [names, ["" if v is None else str(v) for v in values]]
+        # The README names the same columns, in the same order.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        para = readme.split("`sweep` writes one CSV row per width")[1].split("\n\n")[0]
+        assert re.findall(r"`(\w+)`", para.split("order:")[1]) == names
+
 
 class TestLinregRatesCsv:
     def test_columns_identities_and_footer(self, tmp_path):
@@ -256,6 +308,25 @@ class TestLinregRatesCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
+# Config documents that each hold one malformed value, at a key path.
+MALFORMED = [
+    (("dataset",), 5),
+    (("dataset", "train_range"), 5),
+    (("dataset", "train_range"), ["a", "b"]),
+    (("dataset", "train_range"), [1]),
+    (("dataset", "train_range"), [0, math.inf]),
+    (("eval", "test_range"), [0, 1, 2]),
+    (("network", "depth"), 1.5),
+    (("network", "output_dim"), 2.5),
+    (("network", "sigma_w"), math.inf),
+    (("network", "sigma_b"), math.nan),
+    (("likelihood", "sigma2"), math.inf),
+    (("likelihood",), {"kind": "categorical", "num_classes": 2.5}),
+    (("output_path",), None),
+    (("output_path",), ["sweep.csv"]),
+]
+
+
 class TestCli:
     def write_config(self, tmp_path, **over):
         defaults = dict(likelihood={"kind": "gaussian", "sigma2": 0.5},
@@ -277,6 +348,8 @@ class TestCli:
         bad.write_text(json.dumps({"unknown": 1}))
         assert cli.main(["sweep", "--config", str(bad)]) == 2
         assert cli.main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
+        bad.write_bytes(b"\xff\xfe{")  # not UTF-8
+        assert cli.main(["sweep", "--config", str(bad)]) == 2
 
     def test_no_accepts_exit_code(self, tmp_path):
         cfg = self.write_config(
@@ -356,6 +429,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field} must be")
         assert f"got {value[0] if field == 'widths' else value!r}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "nngp", "sample"])
+    @pytest.mark.parametrize("path,value", MALFORMED,
+                             ids=[".".join(p) + "=" + json.dumps(v) for p, v in MALFORMED])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, command, path, value):
+        doc = base_doc(output_path=str(tmp_path / "sweep.csv"))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))  # inf and nan as JSON's Infinity and NaN
+        argv = [command, "--config", str(cfg)]
+        if command == "sample":
+            argv += ["--width", "8"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "sweep.csv").exists()
 

@@ -19,7 +19,7 @@ from widebnn.network import (
     reparametrise,
     sample_prior,
 )
-from widebnn.numkit import GaussianStream
+from widebnn.numkit import BATCH_FLOATS, GaussianStream
 
 
 def small_config(**kw):
@@ -230,6 +230,11 @@ class TestPriorFunctionDraws:
         draw = prior_function_draws(cfg, x, 1, GaussianStream(3, 1))
         assert np.array_equal(draw[0], layers[-1][0].T)
 
+    @staticmethod
+    def set_batch(monkeypatch, cfg, x, size):
+        """Make prior_function_draws take ``size`` draws per batch at ``x``."""
+        monkeypatch.setattr(network, "BATCH_FLOATS", size * cfg.hidden_width * len(x))
+
     @pytest.mark.parametrize("cores", [1, 2])
     def test_repeated_calls_with_a_short_last_batch_are_identical(self, monkeypatch, cores):
         # 23 draws in batches of 5: the last batch of 3 reuses the batch
@@ -237,16 +242,19 @@ class TestPriorFunctionDraws:
         monkeypatch.setattr(network, "_available_cores", lambda: cores)
         cfg = NetworkConfig(depth=2, input_dim=1, output_dim=2, hidden_width=30)
         x = np.linspace(-1.0, 1.0, 6)[:, None]
-        runs = [prior_function_draws(cfg, x, 23, GaussianStream(9, 4), batch_size=5).tobytes()
+        self.set_batch(monkeypatch, cfg, x, 5)
+        runs = [prior_function_draws(cfg, x, 23, GaussianStream(9, 4)).tobytes()
                 for _ in range(3)]
-        single = prior_function_draws(cfg, x, 23, GaussianStream(9, 4), batch_size=1)
+        self.set_batch(monkeypatch, cfg, x, 1)
+        single = prior_function_draws(cfg, x, 23, GaussianStream(9, 4))
         assert runs[0] == runs[1] == runs[2] == single.tobytes()
 
-    def test_deterministic_for_fixed_batch_size(self):
+    def test_deterministic_for_fixed_batch_size(self, monkeypatch):
         cfg = NetworkConfig(depth=1, input_dim=1, output_dim=2, hidden_width=4)
         x = np.array([[0.5], [-0.25]])
-        a = prior_function_draws(cfg, x, 50, GaussianStream(1, 0), batch_size=7)
-        b = prior_function_draws(cfg, x, 50, GaussianStream(1, 0), batch_size=7)
+        self.set_batch(monkeypatch, cfg, x, 7)
+        a = prior_function_draws(cfg, x, 50, GaussianStream(1, 0))
+        b = prior_function_draws(cfg, x, 50, GaussianStream(1, 0))
         assert np.array_equal(a, b)
         assert a.shape == (50, 2, 2)
 
@@ -254,10 +262,10 @@ class TestPriorFunctionDraws:
         # 50 draws in batches of 7: the last batch holds a single draw.
         cfg = NetworkConfig(depth=2, input_dim=1, output_dim=2, hidden_width=4)
         x = np.array([[0.5], [-0.25], [1.0]])
+        self.set_batch(monkeypatch, cfg, x, 7)
 
         def run():
-            return prior_function_draws(cfg, x, 50, GaussianStream(1, 0),
-                                        batch_size=7).tobytes()
+            return prior_function_draws(cfg, x, 50, GaussianStream(1, 0)).tobytes()
 
         default = run()
         draws = []
@@ -268,12 +276,13 @@ class TestPriorFunctionDraws:
         a = np.frombuffer(default).reshape(50, 3, 2)
         assert not np.array_equal(a[:7], a[7:14])  # batches use distinct substreams
 
-    def test_stream_moves_past_its_batches(self):
+    def test_stream_moves_past_its_batches(self, monkeypatch):
         cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)
         x = np.array([[0.5], [-0.25]])
+        self.set_batch(monkeypatch, cfg, x, 4)
         s = GaussianStream(3, 0)
-        first = prior_function_draws(cfg, x, 10, s, batch_size=4)
-        second = prior_function_draws(cfg, x, 10, s, batch_size=4)
+        first = prior_function_draws(cfg, x, 10, s)
+        second = prior_function_draws(cfg, x, 10, s)
         assert not np.any(np.isin(second, first))
 
     def test_worker_failure_reaches_caller(self, monkeypatch):
@@ -294,8 +303,9 @@ class TestPriorFunctionDraws:
         monkeypatch.setattr(network, "_available_cores", lambda: 2)
         cfg = NetworkConfig(depth=2, input_dim=1, output_dim=1, hidden_width=4)
         x = np.array([[0.5], [-0.25]])
+        self.set_batch(monkeypatch, cfg, x, 2)
         with pytest.raises(NotPositiveDefinite):
-            prior_function_draws(cfg, x, 40, GaussianStream(1, 0), batch_size=2)
+            prior_function_draws(cfg, x, 40, GaussianStream(1, 0))
 
     def _record_pools_and_batches(self, monkeypatch, cores):
         pools, batches = [], []
@@ -324,8 +334,8 @@ class TestPriorFunctionDraws:
         draws = prior_function_draws(cfg, x, 100, GaussianStream(4, 0))
         assert len(batches) == 8
         assert pools == [min(cores, 8)]
-        assert np.array_equal(
-            draws, prior_function_draws(cfg, x, 100, GaussianStream(4, 0), batch_size=13))
+        self.set_batch(monkeypatch, cfg, x, 13)
+        assert np.array_equal(draws, prior_function_draws(cfg, x, 100, GaussianStream(4, 0)))
 
     def test_default_batches_identical_across_core_counts(self, monkeypatch):
         cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=1000)
@@ -351,8 +361,11 @@ class TestPriorFunctionDraws:
         for cores in (1, 2, 64):
             monkeypatch.setattr(network, "_available_cores", lambda: cores)
             for batch_size in (1, 7, 13, None):
-                draws.add(prior_function_draws(cfg, x, 30, GaussianStream(4, 2),
-                                               batch_size=batch_size).tobytes())
+                if batch_size is None:
+                    monkeypatch.setattr(network, "BATCH_FLOATS", BATCH_FLOATS)
+                else:
+                    self.set_batch(monkeypatch, cfg, x, batch_size)
+                draws.add(prior_function_draws(cfg, x, 30, GaussianStream(4, 2)).tobytes())
         assert len(draws) == 1
 
     def test_draw_i_takes_substream_i(self):
@@ -388,16 +401,10 @@ class TestPriorFunctionDraws:
         monkeypatch.setattr(network, "_available_cores", lambda: 2)
         cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)
         x = np.array([[0.5], [-0.25]])
-        prior_function_draws(cfg, x, 40, GaussianStream(1, 0), batch_size=1)
+        self.set_batch(monkeypatch, cfg, x, 1)
+        prior_function_draws(cfg, x, 40, GaussianStream(1, 0))
         assert state["submitted"] == 40
         assert state["most"] <= 2 * 2
-
-    @pytest.mark.parametrize("batch_size", [True, 2.5, np.float64(3.0), 0, -1])
-    def test_batch_size_must_be_a_positive_integer(self, batch_size):
-        cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)
-        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
-            prior_function_draws(cfg, np.array([[0.5]]), 5, GaussianStream(1, 0),
-                                 batch_size=batch_size)
 
     @pytest.mark.parametrize("n_draws", [-1, 2.5, True, np.float64(3.0)])
     def test_n_draws_must_be_a_nonnegative_integer(self, n_draws):

@@ -548,10 +548,35 @@ def test_at_most_two_chunks_per_worker_are_in_flight(monkeypatch):
 
     monkeypatch.setattr(MomentAccumulator, "merge_in", counting_merge_in)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(sampler, "available_cores", lambda: 2)
     report = rejection_sample(linear_config(), TX, TY, LIK, EX, 40 * 64, seed=5,
                               chunk_size=64, workers=2)
     assert state["submitted"] == 40 and report.accepts > 0
     assert state["most"] <= 2 * 2
+
+
+def test_pool_threads_are_capped_at_the_cores(monkeypatch):
+    # The spy records the pool size asked for and never starts more than two
+    # threads, whatever that size is.
+    sizes = []
+    real_pool = concurrent.futures.ThreadPoolExecutor
+
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=min(max_workers, 2))
+
+    kw = dict(n_proposals=20 * 64, seed=5, chunk_size=64)
+    one = rejection_sample(linear_config(), TX, TY, LIK, EX, workers=1, **kw)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(sampler, "available_cores", lambda: 3)
+    many = rejection_sample(linear_config(), TX, TY, LIK, EX, workers=10 ** 6, **kw)
+    assert sizes == [3]
+    assert many.accepts == one.accepts > 0
+    assert np.array_equal(many.posterior_mean, one.posterior_mean)
+    assert np.array_equal(many.posterior_cov, one.posterior_cov)
+    monkeypatch.setattr(sampler, "available_cores", lambda: 1)
+    rejection_sample(linear_config(), TX, TY, LIK, EX, workers=10 ** 6, **kw)
+    assert sizes == [3]  # one core: the chunks run on the calling thread
 
 
 def test_failing_chunk_cancels_queued_chunks(monkeypatch):
@@ -565,6 +590,7 @@ def test_failing_chunk_cancels_queued_chunks(monkeypatch):
         return runner(config, train_x, train_y, lik, eval_x, seed, lo, hi, *extra)
 
     monkeypatch.setattr(sampler, "_run_chunk", failing)
+    monkeypatch.setattr(sampler, "available_cores", lambda: 2)
     with pytest.raises(FloatingPointError, match="chunk failed"):
         rejection_sample(linear_config(), TX, TY, LIK, EX, 100 * 64, seed=5,
                          chunk_size=64, workers=2)
