@@ -47,7 +47,7 @@ from .linreg import (
     rate_sweep,
     uniform_design_rule,
 )
-from .metrics import GaussianDist, kl_gaussian, rel_frobenius, w2_gaussian
+from .metrics import GaussianDist, kl_gaussian, rel_frobenius, w2_gaussian, w2_kl_gaussian
 from .network import (
     NetworkConfig,
     ParameterSet,
@@ -86,7 +86,7 @@ __all__ = [
     "LikelihoodSpec", "log_likelihood", "log_likelihood_batch",
     "KernelPair", "GaussianPredictive", "ew_cov", "ew_dcov",
     "nngp_kernel", "ntk_kernel", "gp_posterior", "ntk_posterior",
-    "GaussianDist", "rel_frobenius", "w2_gaussian", "kl_gaussian",
+    "GaussianDist", "rel_frobenius", "w2_gaussian", "kl_gaussian", "w2_kl_gaussian",
     "LinRegProblem", "linreg_posterior", "ntk_rescale", "linreg_predictive",
     "RateRow", "rate_sweep", "fit_loglog_slope", "uniform_design_rule",
     "MomentAccumulator", "SamplerReport", "accumulate", "merge", "finalize",

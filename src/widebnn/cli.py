@@ -4,7 +4,8 @@ Subcommands:
   sweep        run the width sweep from a JSON config and write its CSV
   linreg-rates run the linear-regression rate study and write its CSV
   nngp         print the analytic NNGP posterior for a config as JSON
-  sample       run the rejection sampler at one width and print a report
+  sample       run the rejection sampler at one width (default: the config's
+               network.hidden_width) and print a report
 
 Exit codes: 0 success, 2 configuration error, 3 sweep produced no usable
 moments at any width.
@@ -54,7 +55,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="rejection sampler at one width")
     p_sample.add_argument("--config", required=True, help="JSON config path")
-    p_sample.add_argument("--width", type=int, required=True)
+    p_sample.add_argument("--width", type=int, default=None,
+                          help="hidden width (default: network.hidden_width from the config)")
     return parser
 
 
@@ -101,16 +103,18 @@ def _cmd_nngp(args) -> int:
 def _cmd_sample(args) -> int:
     config = load_config(args.config)
     train_x, train_y, test_x = build_dataset(config)
-    try:
-        cfg = config.network.with_width(args.width)
-    except ValueError as exc:
-        raise ConfigError(f"bad --width: {exc}") from exc
+    cfg = config.network
+    if args.width is not None:
+        try:
+            cfg = cfg.with_width(args.width)
+        except ValueError as exc:
+            raise ConfigError(f"bad --width: {exc}") from exc
     report = rejection_sample(
         cfg, train_x, train_y, config.likelihood, test_x,
         config.n_proposals, config.seed, workers=config.workers,
     )
     arrays = ("posterior_mean", "posterior_cov", "recorded_param_stats")
-    doc = {"width": args.width, **{k: v for k, v in vars(report).items() if k not in arrays}}
+    doc = {"width": cfg.hidden_width, **{k: v for k, v in vars(report).items() if k not in arrays}}
     if report.moments_valid:
         doc["posterior_mean"] = report.posterior_mean.tolist()
         doc["posterior_cov_diag"] = np.diag(report.posterior_cov).tolist()

@@ -22,7 +22,7 @@ from .likelihood import LikelihoodSpec
 from .linreg import RateRow, fit_loglog_slope, rate_sweep
 from .metrics import rel_frobenius
 from .network import NetworkConfig, forward, sample_prior
-from .numkit import GaussianStream, is_finite_number, is_int
+from .numkit import GaussianStream, is_finite_number, is_int, is_seed
 from .sampler import rejection_sample
 
 __all__ = [
@@ -71,12 +71,12 @@ class ExperimentConfig:
         if not widths or any(b <= a for a, b in zip(widths, widths[1:])):
             raise ConfigError("widths must be nonempty and strictly increasing")
         self.widths = [int(w) for w in widths]
-        for name, least in (("train_m", 0), ("test_m", 1), ("n_proposals", 1),
-                            ("seed", None), ("workers", 1)):
+        for name, least in (("train_m", 0), ("test_m", 1), ("n_proposals", 1), ("workers", 1)):
             value = getattr(self, name)
-            if not is_int(value) or (least is not None and value < least):
-                bound = "" if least is None else f" >= {least}"
-                raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+            if not is_int(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not is_seed(self.seed):
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.target_rule not in TARGET_RULES:
             raise ConfigError(f"target_rule must be one of {TARGET_RULES}")
         if not isinstance(self.output_path, str):

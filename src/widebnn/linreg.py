@@ -3,8 +3,8 @@
 Closed-form posterior, prior-to-posterior discrepancy rates over a width-like
 feature-count grid, the sqrt(n)/n reparametrisation comparison, and the
 conjugate predictive used as an oracle for the rejection sampler. The rate
-study's full-matrix check runs its four W2/KL calls concurrently, at most
-min(cores, 4) of them in flight (:func:`rate_sweep`).
+study's full-matrix check computes W2 and KL for two (P, Q) pairs at once,
+on at most min(cores, 2) threads (:func:`rate_sweep`).
 
 The prior is w ~ N(0, (alpha/n) I_n) with alpha = beta = 1 unless stated; the
 design matrix has m rows (observations) and n columns (features).
@@ -20,8 +20,8 @@ import scipy.special
 
 from .errors import DimensionMismatch, RouteMismatch
 from .kernels import GaussianPredictive
-from .metrics import GaussianDist, kl_gaussian, w2_gaussian
-from .numkit import GaussianStream, as_matrix, available_cores, ordered_map, solve_spd
+from .metrics import GaussianDist, w2_kl_gaussian
+from .numkit import GaussianStream, as_matrix, available_cores, is_seed, ordered_map, solve_spd
 
 __all__ = [
     "LinRegProblem",
@@ -153,13 +153,18 @@ def rate_sweep(
     :mod:`widebnn.metrics` and must agree with the spectral expansion within
     a relative 1e-8, else :class:`RouteMismatch` is raised; full matrices at
     the top of the grid would be too large to factor, so the dual route is
-    capped. The four general-route calls of a grid point (W2 and KL, before
-    and after the rescaling) run concurrently through
-    :func:`numkit.ordered_map`, at most min(cores, 4) in flight, and are
-    compared in that order; every row comes from the spectral route, so rows
-    do not depend on the core count.
+    capped. The general routes take two pairs per grid point, (posterior,
+    prior) and (rescaled posterior, N(0, I)); each pair gives its W2 and KL
+    from one Cholesky factor of each covariance
+    (:func:`metrics.w2_kl_gaussian`). The pairs run concurrently through
+    :func:`numkit.ordered_map` on min(cores, 2) threads, and the four values
+    are compared in the order W2, KL, rescaled W2, rescaled KL; every row
+    comes from the spectral route, so rows do not depend on the core count.
+    A seed outside [0, 2**64) raises ``ValueError``.
     """
     n_grid = [int(n) for n in n_grid]
+    if not is_seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -220,15 +225,13 @@ def _dual_check(x, y, mu, w2_sq, kl, w2_ntk_sq, kl_ntk):
     if not np.allclose(post.mean, mu, rtol=0, atol=1e-12):
         raise RouteMismatch("posterior mean mismatch between routes")
     # The distributions are built here, on the calling thread, so that pool
-    # threads allocate only their own call's work arrays.
-    prior = GaussianDist(np.zeros(n), np.eye(n) / n)
-    scaled = ntk_rescale(post, n)
-    iso = GaussianDist(np.zeros(n), np.eye(n))
-    calls = [(w2_gaussian, post, prior), (kl_gaussian, post, prior),
-             (w2_gaussian, scaled, iso), (kl_gaussian, scaled, iso)]
-    results = list(ordered_map(lambda c: c[0](c[1], c[2]), calls,
-                               min(available_cores(), len(calls))))
-    for got, want, label in zip(results, [w2_sq, kl, w2_ntk_sq, kl_ntk],
+    # threads allocate only their own pair's work arrays.
+    pairs = [(post, GaussianDist(np.zeros(n), np.eye(n) / n)),
+             (ntk_rescale(post, n), GaussianDist(np.zeros(n), np.eye(n)))]
+    results = ordered_map(lambda pq: w2_kl_gaussian(*pq), pairs,
+                          min(available_cores(), len(pairs)))
+    values = [value for pair in results for value in pair]  # w2, kl of each pair
+    for got, want, label in zip(values, [w2_sq, kl, w2_ntk_sq, kl_ntk],
                                 ["w2_sq", "kl", "w2_ntk_sq", "kl_ntk"]):
         if abs(got - want) > _DUAL_CHECK_TOL * max(1.0, abs(want)):
             raise RouteMismatch(

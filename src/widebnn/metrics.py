@@ -3,17 +3,25 @@
 ``w2_gaussian`` returns the *squared* 2-Wasserstein distance (the Bures form
 in the covariances); callers that report an unsquared "W2" take the root.
 
-Both Gaussian routes are general full-matrix routes that factor each
-covariance once and never form eigenvectors. ``w2_gaussian`` factors
-Q = F F^T (Cholesky, or the symmetric square root when Q is only
-semidefinite) and takes the Bures trace term tr (Q^1/2 P Q^1/2)^1/2 as the
-sum of square roots of the eigenvalues of F^T P F, which has the same
-spectrum, found in place in that product. ``kl_gaussian`` reuses the
-Cholesky factors L_Q and L_P: tr(Q^-1 P) = ||L_Q^-1 L_P||_F^2 and the
-quadratic form is ||L_Q^-1 dmu||^2, both by triangular solves. The trace is
-summed over column blocks of L_Q^-1 L_P, 128 columns at a time, so no n x n
-solve is held; the product is lower triangular, so the block of columns
-j, j+1, ... solves only with the trailing rows and columns j: of L_Q.
+The Gaussian routes are general full-matrix routes that never form
+eigenvectors, and each factors every covariance of its (P, Q) pair once.
+Each formula is one private kernel, on factors P = F_P F_P^T and
+Q = F_Q F_Q^T:
+
+* W2: the Bures trace term tr (Q^1/2 P Q^1/2)^1/2 is the sum of square roots
+  of the eigenvalues of F_Q^T P F_Q = G G^T with G = F_Q^T F_P, which has the
+  same spectrum; G G^T is one symmetric product.
+* KL: from the Cholesky factors L_Q and L_P, tr(Q^-1 P) = ||L_Q^-1 L_P||_F^2
+  and the quadratic form is ||L_Q^-1 dmu||^2, both by triangular solves. The
+  trace is summed over column blocks of L_Q^-1 L_P, 128 columns at a time,
+  so no n x n solve is held; the product is lower triangular, so the block of
+  columns j, j+1, ... solves only with the trailing rows and columns j: of L_Q.
+
+``w2_gaussian`` factors with :func:`numkit.psd_factor`, so either side may be
+a point mass or rank-deficient; ``kl_gaussian`` needs both covariances
+positive definite; ``w2_kl_gaussian`` returns both distances from one
+Cholesky factor of each covariance. The spectrum is found by
+``numpy.linalg``, which releases the GIL, so pairs on pool threads overlap.
 """
 
 from __future__ import annotations
@@ -28,11 +36,11 @@ from .errors import (
     SingularDistribution,
     ZeroReference,
 )
-from .numkit import as_matrix, check_symmetric, cholesky, clip_psd, psd_factor
+from .numkit import as_matrix, cholesky, clip_psd, psd_factor
 
-__all__ = ["GaussianDist", "rel_frobenius", "w2_gaussian", "kl_gaussian"]
+__all__ = ["GaussianDist", "rel_frobenius", "w2_gaussian", "kl_gaussian", "w2_kl_gaussian"]
 
-_KL_BLOCK = 128  # columns of L_Q^-1 L_P per triangular solve
+_KL_BLOCK = 128  # columns of L_Q^-1 L_P per triangular solve, of G per product
 
 
 @dataclass
@@ -68,41 +76,35 @@ def rel_frobenius(a, b) -> float:
     return float(np.linalg.norm(a - b) / ref)
 
 
-def w2_gaussian(p: GaussianDist, q: GaussianDist) -> float:
-    """Squared 2-Wasserstein distance between two Gaussians (Bures form).
-
-    Raises :class:`DimensionMismatch` for an asymmetric covariance and
-    :class:`NotPSD` for an indefinite one (P is checked through F^T P F).
-    """
+def _check_dims(p: GaussianDist, q: GaussianDist) -> None:
     if p.dim != q.dim:
         raise DimensionMismatch("distributions have different dimensions")
-    import scipy.linalg
-
-    check_symmetric(p.cov, "P covariance")
-    f = psd_factor(q.cov)
-    # F^T P F is a fresh array, so its spectrum is found in place: its
-    # transpose is in Fortran order and LAPACK takes it without a copy.
-    lam = clip_psd(scipy.linalg.eigvalsh((f.T @ p.cov @ f).T, overwrite_a=True,
-                                         check_finite=False))
-    dm = p.mean - q.mean
-    val = dm @ dm + np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.sum(np.sqrt(lam))
-    return float(max(val, 0.0))
 
 
-def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
-    """KL(P || Q) for Gaussians; Q must be strictly positive definite and P
-    non-singular. Determinants come from Cholesky factors for stability."""
-    import scipy.linalg
-
-    if p.dim != q.dim:
-        raise DimensionMismatch("distributions have different dimensions")
-    lq = cholesky(q.cov)
+def _p_cholesky(p: GaussianDist) -> np.ndarray:
+    """Cholesky factor of P for KL, which needs P non-singular."""
     try:
         lp = cholesky(p.cov)
     except NotPositiveDefinite as exc:
         raise SingularDistribution("P covariance is singular") from exc
     if np.any(np.diag(lp) <= 0.0):
         raise SingularDistribution("P covariance is singular")
+    return lp
+
+
+def _w2_sq(p: GaussianDist, q: GaussianDist, gram: np.ndarray) -> float:
+    """Squared W2 from G G^T, G = F_Q^T F_P; raises :class:`NotPSD` for an
+    eigenvalue below the PSD tolerance."""
+    lam = clip_psd(np.linalg.eigvalsh(gram))
+    dm = p.mean - q.mean
+    val = dm @ dm + np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.sum(np.sqrt(lam))
+    return float(max(val, 0.0))
+
+
+def _kl(p: GaussianDist, q: GaussianDist, lq: np.ndarray, lp: np.ndarray) -> float:
+    """KL(P || Q) from the lower Cholesky factors of Q and P."""
+    import scipy.linalg
+
     dim = p.dim
     trace = 0.0
     for j in range(0, dim, _KL_BLOCK):
@@ -117,3 +119,41 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(lp))))
     val = 0.5 * (trace + quad - dim + logdet_q - logdet_p)
     return float(max(val, 0.0))
+
+
+def w2_gaussian(p: GaussianDist, q: GaussianDist) -> float:
+    """Squared 2-Wasserstein distance between two Gaussians (Bures form).
+
+    Either covariance may be singular, down to a point mass. Raises
+    :class:`DimensionMismatch` for an asymmetric covariance and
+    :class:`NotPSD` for an indefinite one.
+    """
+    _check_dims(p, q)
+    g = psd_factor(q.cov).T @ psd_factor(p.cov)
+    return _w2_sq(p, q, g @ g.T)
+
+
+def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float:
+    """KL(P || Q) for Gaussians; Q must be strictly positive definite and P
+    non-singular. Determinants come from Cholesky factors for stability."""
+    _check_dims(p, q)
+    return _kl(p, q, cholesky(q.cov), _p_cholesky(p))
+
+
+def w2_kl_gaussian(p: GaussianDist, q: GaussianDist) -> tuple[float, float]:
+    """``(w2_gaussian(p, q), kl_gaussian(p, q))`` from one Cholesky factor of
+    each covariance; both covariances must be positive definite, as for KL.
+
+    After the KL, G = L_Q^T L_P overwrites L_P and G G^T overwrites L_Q, so
+    the W2 step allocates no n x n array but the eigensolver's copy. Column
+    block j: of L_P is zero above row j, so it meets only rows j: of L_Q,
+    which halves the work of G."""
+    _check_dims(p, q)
+    lq = cholesky(q.cov)
+    lp = _p_cholesky(p)
+    kl = _kl(p, q, lq, lp)
+    for j in range(0, p.dim, _KL_BLOCK):
+        lp[:, j:j + _KL_BLOCK] = lq[j:].T @ lp[j:, j:j + _KL_BLOCK]
+    gram = np.matmul(lp, lp.T, out=lq)
+    del lp  # G, before the eigensolver copies G G^T
+    return _w2_sq(p, q, gram), kl

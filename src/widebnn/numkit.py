@@ -17,6 +17,11 @@ on the diagonal and one attempt, so a zero covariance (dead ReLU units with
 own matrix only. Neither policy serves both: without the ``+ 1`` floor,
 covariances met while sampling default networks fail to factor; with it, a
 singular covariance that a distance must reject would factor.
+
+LAPACK work meant to run on :func:`ordered_map` threads goes through
+``numpy.linalg``, which releases the GIL; the ``scipy.linalg`` wrappers used
+here (``cho_solve``; ``solve_triangular`` in :mod:`widebnn.metrics`) hold it,
+so two threads calling them take turns.
 """
 
 from __future__ import annotations
@@ -55,6 +60,12 @@ _ZERO_SEED = np.random.SeedSequence(0)  # hashed once, not once per stream
 def is_int(value) -> bool:
     """True for a Python or NumPy integer; False for a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_seed(value) -> bool:
+    """True for an integer in [0, 2**64): :class:`GaussianStream` keys Philox
+    with the seed modulo 2**64, so only these seeds give distinct streams."""
+    return is_int(value) and 0 <= value < 1 << 64
 
 
 def is_finite_number(value) -> bool:

@@ -24,7 +24,7 @@ from widebnn.experiments import (
 from widebnn.likelihood import LikelihoodSpec
 from widebnn.network import NetworkConfig, forward, sample_prior
 from widebnn.numkit import GaussianStream
-from widebnn import cli
+from widebnn import cli, sampler
 
 
 def base_doc(**over):
@@ -40,6 +40,17 @@ def base_doc(**over):
     }
     doc.update(over)
     return doc
+
+
+def shifted_w2_kl(linreg, dw2, dkl):
+    """A stand-in for ``linreg.w2_kl_gaussian`` that is off by (dw2, dkl)."""
+    real = linreg.w2_kl_gaussian
+
+    def wrong(p, q):
+        w2, kl = real(p, q)
+        return w2 + dw2, kl + dkl
+
+    return wrong
 
 
 class TestConfigParsing:
@@ -121,6 +132,16 @@ class TestConfigParsing:
     def test_seed_must_be_an_int(self, seed):
         with pytest.raises(ConfigError):
             config_from_dict(base_doc(seed=seed))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Philox is keyed with the seed modulo 2**64, so these would alias
+        # 2**64 - 1 and 0.
+        with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            config_from_dict(base_doc(seed=seed))
+
+    def test_largest_seed_accepted(self):
+        assert config_from_dict(base_doc(seed=2 ** 64 - 1)).seed == 2 ** 64 - 1
 
     @pytest.mark.parametrize("field,value", [
         ("n_proposals", 100.0), ("n_proposals", True), ("n_proposals", 0),
@@ -227,7 +248,8 @@ class TestWidthSweep:
         with pytest.raises(ConfigError):
             width_sweep(cfg)
 
-    def test_statistical_columns_worker_invariant(self):
+    def test_statistical_columns_worker_invariant(self, monkeypatch):
+        monkeypatch.setattr(sampler, "available_cores", lambda: 2)  # a pool on any host
         doc = base_doc(likelihood={"kind": "gaussian", "sigma2": 0.5},
                        n_proposals=3000)
         r1 = width_sweep(config_from_dict({**doc, "workers": 1}))
@@ -237,7 +259,8 @@ class TestWidthSweep:
             assert a.rf_mean_nngp == b.rf_mean_nngp
             assert a.rf_cov_nngp == b.rf_cov_nngp
 
-    def test_mean_likelihood_columns_worker_invariant(self, tmp_path):
+    def test_mean_likelihood_columns_worker_invariant(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sampler, "available_cores", lambda: 2)  # a pool on any host
         doc = base_doc(likelihood={"kind": "gaussian", "sigma2": 0.5},
                        n_proposals=3000)
         texts = []
@@ -370,8 +393,7 @@ class TestCli:
     def test_linreg_rates_route_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
         from widebnn import linreg
 
-        real = linreg.w2_gaussian
-        monkeypatch.setattr(linreg, "w2_gaussian", lambda p, q: real(p, q) + 1.0)
+        monkeypatch.setattr(linreg, "w2_kl_gaussian", shifted_w2_kl(linreg, 1.0, 0.0))
         out = tmp_path / "rates.csv"
         assert cli.main(["linreg-rates", "--n-grid", "16,32", "--m", "4",
                          "--seed", "1", "--out", str(out)]) == 1
@@ -381,8 +403,7 @@ class TestCli:
     def test_linreg_rates_wrong_kl_on_a_worker_exit_code(self, tmp_path, monkeypatch, capsys):
         from widebnn import linreg
 
-        real = linreg.kl_gaussian
-        monkeypatch.setattr(linreg, "kl_gaussian", lambda p, q: real(p, q) + 1.0)
+        monkeypatch.setattr(linreg, "w2_kl_gaussian", shifted_w2_kl(linreg, 0.0, 1.0))
         monkeypatch.setattr(linreg, "available_cores", lambda: 2)
         out = tmp_path / "rates.csv"
         assert cli.main(["linreg-rates", "--n-grid", "16,32", "--m", "4",
@@ -390,6 +411,21 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: kl: spectral route")
         assert "np.float64" not in lines[0]
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_linreg_rates_seed_outside_64_bits_exit_code(self, tmp_path, capsys, seed):
+        out = tmp_path / "rates.csv"
+        assert cli.main(["linreg-rates", "--n-grid", "16,32", "--m", "4",
+                         "--seed", str(seed), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: seed must be an integer in")
+        assert not out.exists()
+
+    def test_linreg_rates_largest_seed(self, tmp_path):
+        out = tmp_path / "rates.csv"
+        assert cli.main(["linreg-rates", "--n-grid", "16,32", "--m", "4",
+                         "--seed", str(2 ** 64 - 1), "--out", str(out)]) == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("grid,m", [("8,4", 2), ("16", 8), ("4,16,32", 8),
                                         ("16,32", 0)])
@@ -497,3 +533,12 @@ class TestCli:
         assert doc["width"] == 8
         assert doc["proposals"] == 2000
         assert 0 <= doc["accepts"] <= 2000
+
+    def test_sample_width_defaults_to_the_config(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, network={"depth": 1, "input_dim": 1,
+                                                   "output_dim": 1, "hidden_width": 5})
+        assert cli.main(["sample", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["width"] == 5
+        assert cli.main(["sample", "--config", str(cfg), "--width", "5"]) == 0
+        assert json.loads(capsys.readouterr().out) == doc

@@ -125,7 +125,7 @@ class TestRateSweep:
         assert max(tail) / min(tail) < 2.0
 
     def test_rows_do_not_depend_on_the_core_count(self, monkeypatch):
-        # The four general-route calls run on min(cores, 4) threads; every
+        # The two general-route pairs run on min(cores, 2) threads; every
         # row field comes from the spectral route, so rows compare equal.
         real_map, workers, rows = linreg.ordered_map, [], {}
 
@@ -138,16 +138,17 @@ class TestRateSweep:
             monkeypatch.setattr(linreg, "available_cores", lambda: cores)
             rows[cores] = rate_sweep([16, 64, 256, 1024, 2048], m=8, seed=3)
         assert rows[1] == rows[2] == rows[8]
-        assert workers == [1] * 4 + [2] * 4 + [4] * 4  # the four n <= 1024 each time
+        assert workers == [1] * 4 + [2] * 4 + [2] * 4  # the four n <= 1024 each time
 
     def test_wrong_general_route_raises_from_a_worker_thread(self, monkeypatch):
-        real, threads = linreg.kl_gaussian, []
+        real, threads = linreg.w2_kl_gaussian, []
 
         def wrong(p, q):
             threads.append(threading.get_ident())
-            return real(p, q) + 1.0
+            w2, kl = real(p, q)
+            return w2, kl + 1.0
 
-        monkeypatch.setattr(linreg, "kl_gaussian", wrong)
+        monkeypatch.setattr(linreg, "w2_kl_gaussian", wrong)
         monkeypatch.setattr(linreg, "available_cores", lambda: 2)
         with pytest.raises(RouteMismatch, match=r"^kl: spectral route"):
             rate_sweep([16, 32], m=4, seed=1)
@@ -164,6 +165,11 @@ class TestRateSweep:
             rate_sweep([32, 16], m=8)
         with pytest.raises(ValueError):
             rate_sweep([4], m=8)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            rate_sweep([16, 32], m=4, seed=seed)
 
     def test_trace_term_bounds_with_extreme_eigenvalues(self):
         # trace_term = sum_i g(lambda_i / n) / n with g increasing, so the

@@ -8,7 +8,13 @@ from widebnn.errors import (
     ZeroReference,
 )
 from widebnn import metrics
-from widebnn.metrics import GaussianDist, kl_gaussian, rel_frobenius, w2_gaussian
+from widebnn.metrics import (
+    GaussianDist,
+    kl_gaussian,
+    rel_frobenius,
+    w2_gaussian,
+    w2_kl_gaussian,
+)
 
 
 def _eigh_sqrt(a):
@@ -220,6 +226,68 @@ class TestKL:
             kl_gaussian(p, q)
         with pytest.raises(DimensionMismatch):
             w2_gaussian(p, q)
+
+
+class TestW2KL:
+    @pytest.mark.parametrize("n", [1, 5, 50, 300])
+    def test_equals_the_separate_routes(self, n):
+        rng = np.random.default_rng(100 + n)
+        p = random_dist(rng, random_pd(rng, n))
+        q = random_dist(rng, random_pd(rng, n))
+        w2, kl = w2_kl_gaussian(p, q)
+        assert abs(w2 - w2_gaussian(p, q)) <= 1e-12 * abs(w2)
+        assert abs(kl - kl_gaussian(p, q)) <= 1e-12 * abs(kl)
+        assert type(w2) is float and type(kl) is float
+
+    def test_factors_each_covariance_once(self, monkeypatch):
+        real, calls = np.linalg.cholesky, []
+
+        def spy(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        rng = np.random.default_rng(8)
+        for n in (5, 300):
+            calls.clear()
+            w2_kl_gaussian(random_dist(rng, random_pd(rng, n)),
+                           random_dist(rng, random_pd(rng, n)))
+            assert calls == [(n, n), (n, n)]
+
+    def test_inputs_are_left_unchanged(self):
+        rng = np.random.default_rng(9)
+        p = random_dist(rng, random_pd(rng, 200))
+        q = random_dist(rng, random_pd(rng, 200))
+        before = [a.copy() for a in (p.mean, p.cov, q.mean, q.cov)]
+        w2_kl_gaussian(p, q)
+        for a, b in zip(before, (p.mean, p.cov, q.mean, q.cov)):
+            assert np.array_equal(a, b)
+
+    def test_rejects_what_kl_rejects(self):
+        good = GaussianDist(np.zeros(3), np.eye(3))
+        with pytest.raises(SingularDistribution):
+            w2_kl_gaussian(GaussianDist(np.zeros(3), np.zeros((3, 3))), good)
+        with pytest.raises(DimensionMismatch):
+            w2_kl_gaussian(GaussianDist(np.zeros(3), asymmetric(3)), good)
+        with pytest.raises(DimensionMismatch):
+            w2_kl_gaussian(GaussianDist(np.zeros(2), np.eye(2)), good)
+
+    def test_scipy_eigvalsh_is_never_called(self, monkeypatch):
+        # scipy.linalg.eigvalsh holds the GIL, so two pool threads running it
+        # take turns; numpy.linalg.eigvalsh releases it and they overlap.
+        import scipy.linalg
+
+        from widebnn.linreg import rate_sweep
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.linalg.eigvalsh called")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", forbidden)
+        rng = np.random.default_rng(10)
+        p = random_dist(rng, random_pd(rng, 50))
+        q = random_dist(rng, random_psd(rng, 50, 5))
+        assert w2_gaussian(p, q) > 0 and w2_gaussian(q, p) > 0
+        assert len(rate_sweep([16, 64, 1024], m=8, seed=0)) == 3
 
 
 class TestGaussianDist:

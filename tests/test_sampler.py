@@ -155,7 +155,8 @@ class TestRejectionSampler:
         assert np.all(np.abs(report.posterior_mean - pred.mean) < 4 * np.sqrt(var / n))
         assert np.all(np.abs(var - np.diag(pred.cov)) < 4 * var * np.sqrt(2.0 / (n - 1)))
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_and_worker_invariant(self, monkeypatch):
+        monkeypatch.setattr(sampler, "available_cores", lambda: 2)  # a pool on any host
         kw = dict(n_proposals=20_000, seed=9)
         r1 = rejection_sample(linear_config(), TX, TY, LIK, EX, workers=1, **kw)
         r2 = rejection_sample(linear_config(), TX, TY, LIK, EX, workers=4, **kw)
@@ -186,7 +187,8 @@ class TestRejectionSampler:
             assert np.allclose(r.posterior_cov, whole.posterior_cov)
             assert np.allclose(r.mean_likelihood, whole.mean_likelihood)
 
-    def test_function_mode_chunk_and_worker_invariant(self):
+    def test_function_mode_chunk_and_worker_invariant(self, monkeypatch):
+        monkeypatch.setattr(sampler, "available_cores", lambda: 2)  # a pool on any host
         cfg = NetworkConfig(depth=2, input_dim=1, output_dim=1, hidden_width=20)
         tx = np.linspace(-1, 1, 3)[:, None]
         lik = LikelihoodSpec("gaussian", sigma2=0.25)
