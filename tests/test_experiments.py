@@ -24,7 +24,7 @@ from widebnn.experiments import (
 from widebnn.likelihood import LikelihoodSpec
 from widebnn.network import NetworkConfig, forward, sample_prior
 from widebnn.numkit import GaussianStream
-from widebnn import cli, sampler
+from widebnn import cli, linreg, sampler
 
 
 def base_doc(**over):
@@ -42,7 +42,7 @@ def base_doc(**over):
     return doc
 
 
-def shifted_w2_kl(linreg, dw2, dkl):
+def shifted_w2_kl(dw2, dkl):
     """A stand-in for ``linreg.w2_kl_gaussian`` that is off by (dw2, dkl)."""
     real = linreg.w2_kl_gaussian
 
@@ -391,9 +391,7 @@ class TestCli:
                          "--m", "4", "--seed", "1", "--out", str(out)]) == 2
 
     def test_linreg_rates_route_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
-        from widebnn import linreg
-
-        monkeypatch.setattr(linreg, "w2_kl_gaussian", shifted_w2_kl(linreg, 1.0, 0.0))
+        monkeypatch.setattr(linreg, "w2_kl_gaussian", shifted_w2_kl(1.0, 0.0))
         out = tmp_path / "rates.csv"
         assert cli.main(["linreg-rates", "--n-grid", "16,32", "--m", "4",
                          "--seed", "1", "--out", str(out)]) == 1
@@ -401,9 +399,7 @@ class TestCli:
         assert err.startswith("error: w2_sq: spectral route") and "Traceback" not in err
 
     def test_linreg_rates_wrong_kl_on_a_worker_exit_code(self, tmp_path, monkeypatch, capsys):
-        from widebnn import linreg
-
-        monkeypatch.setattr(linreg, "w2_kl_gaussian", shifted_w2_kl(linreg, 0.0, 1.0))
+        monkeypatch.setattr(linreg, "w2_kl_gaussian", shifted_w2_kl(0.0, 1.0))
         monkeypatch.setattr(linreg, "available_cores", lambda: 2)
         out = tmp_path / "rates.csv"
         assert cli.main(["linreg-rates", "--n-grid", "16,32", "--m", "4",
