@@ -216,33 +216,36 @@ def layer_step(config: NetworkConfig, g: np.ndarray, e: np.ndarray,
     ``e @ chol_batch(C).T``, written into ``out`` if given. With ``cond =
     (g_x, f_x)`` it is conditioned on this layer's values ``f_x`` at other
     points, where the previous layer was ``g_x``: ``f_x @ A + e @ S.T`` with
-    ``A = C_xx^-1 C_xt``, solved with the ``chol_batch`` factor of C_xx that
-    draws ``f_x``, and S the factor of the Schur complement ``C_tt - C_tx A``.
-    A product whose inner dimension is 1 (one new point, or one conditioning
-    point) is taken as a broadcast product, which gives the matmul's bits.
+    ``A = C_xx^-1 C_xt``, solved with the ``chol_batch`` factor L of C_xx
+    that draws ``f_x``, and S the factor of the Schur complement ``C_tt - C_tx
+    A``. A product whose inner dimension is 1 (one new point, or one
+    conditioning point) is taken as a broadcast product, which gives the
+    matmul's bits; on two or more conditioning points A is two batched
+    ``numpy.linalg.solve`` calls, with L and then L^T, which release the GIL.
     """
     sw, sb = config.sigma_w, config.sigma_b
     d_in = g.shape[-2]
     c_tt = layer_cov(g, d_in, sw, sb)
-    if cond is None:
-        l_tt = chol_batch(c_tt)
-        if c_tt.shape[-1] == 1:
-            return np.multiply(e, l_tt, out=out)
-        return np.matmul(e, np.swapaxes(l_tt, -1, -2), out=out)
-    import scipy.linalg  # here, not at module level, where it slows every import
-
-    g_x, f_x = cond
-    c_xx = layer_cov(g_x, d_in, sw, sb)
-    c_xt = (sw ** 2 / d_in) * (np.swapaxes(g_x, -1, -2) @ g) + sb ** 2
-    if c_xx.shape[-1] == 1:  # one point: OpenBLAS's potrs, without cho_solve's
-        inv = 1.0 / chol_batch(c_xx)  # Python loop over the batch
-        a_mat = c_xt * inv * inv
-        mean = f_x * a_mat
+    if cond is not None:
+        g_x, f_x = cond
+        l_xx = chol_batch(layer_cov(g_x, d_in, sw, sb))
+        c_xt = (sw ** 2 / d_in) * (np.swapaxes(g_x, -1, -2) @ g) + sb ** 2
+        if l_xx.shape[-1] == 1:
+            inv = 1.0 / l_xx
+            a_mat = c_xt * inv * inv
+            mean = f_x * a_mat
+        else:
+            a_mat = np.linalg.solve(np.swapaxes(l_xx, -1, -2), np.linalg.solve(l_xx, c_xt))
+            mean = f_x @ a_mat
+        c_tt = c_tt - np.swapaxes(c_xt, -1, -2) @ a_mat  # the Schur complement
+    l_tt = chol_batch(c_tt)
+    if c_tt.shape[-1] == 1:
+        f = np.multiply(e, l_tt, out=out)
     else:
-        a_mat = scipy.linalg.cho_solve((chol_batch(c_xx), True), c_xt, check_finite=False)
-        mean = f_x @ a_mat
-    schur = c_tt - np.swapaxes(c_xt, -1, -2) @ a_mat
-    return mean + e @ np.swapaxes(chol_batch(schur), -1, -2)
+        f = np.matmul(e, np.swapaxes(l_tt, -1, -2), out=out)
+    if cond is not None:
+        f += mean
+    return f
 
 
 def weight_space(fan_in: int, points: int) -> bool:

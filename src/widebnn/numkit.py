@@ -19,9 +19,11 @@ covariances met while sampling default networks fail to factor; with it, a
 singular covariance that a distance must reject would factor.
 
 LAPACK work meant to run on :func:`ordered_map` threads goes through
-``numpy.linalg``, which releases the GIL; the ``scipy.linalg`` wrappers used
-here (``cho_solve``; ``solve_triangular`` in :mod:`widebnn.metrics`) hold it,
-so two threads calling them take turns.
+``numpy.linalg``, which releases the GIL: the sampler's conditioned layer
+draws solve with their ``chol_batch`` factor by batched ``numpy.linalg.solve``
+(:func:`widebnn.network.layer_step`). The ``scipy.linalg`` wrappers used in
+the closed forms (``cho_solve`` in :func:`solve_spd`; ``solve_triangular`` in
+:mod:`widebnn.metrics`) hold it, so two threads calling them take turns.
 """
 
 from __future__ import annotations

@@ -14,18 +14,19 @@ row holds the whole stage-1 row, or in a screened run only its end, the
 output layer's normals at the screening point and the acceptance normal
 (stage 0, below). Proposal i draws its other normals from its own key
 ``(seed, 2**63 + i)``, apart from the block ids and from
-``experiments.DATASET_STREAM_ID`` (2**62): the rest of its stage-1 row from
-substream 2, stage 2 from substream 1, the eval points of its function-space
-layers, once accepted, from substream 0. The accept test ``log u < log
-likelihood`` runs in linear space first and leaves near ties to
-``log_ndtr`` (:func:`_accepted`). By default proposals run in chunks that
-hold about ``numkit.BATCH_FLOATS`` floats of train-path values, in whole
-blocks of G at the stage-1 row's n, merged in ascending order, so results
-are invariant to the worker count. A chunk that starts inside a block (a
-screened run's blocks hold 2,048 proposals at one output) draws and
-discards the block's earlier rows (fewer than ``G * n``: below 8,192
-normals for rows under 64 normals, 63 rows otherwise), so accepts do not
-depend on the chunk size.
+``experiments.DATASET_STREAM_ID`` (2**62): stage k's from substream k (the
+rest of its stage-1 row from substream 1), the eval points of its
+function-space layers, once accepted, from substream 0. The accept test
+``log u < log likelihood`` runs in linear space first and leaves near ties
+to ``log_ndtr`` (:func:`_accepted`). By default proposals run in chunks
+that hold about ``numkit.BATCH_FLOATS`` floats of what every proposal of
+the chunk holds at once (its train-path values, or in a screened run its
+stage-1 floats), in whole blocks of G at the stage-1 row's n, merged in
+ascending order, so results are invariant to the worker count. A chunk that
+starts inside a block (a screened run's blocks hold 2,048 proposals at one
+output) draws and discards the block's earlier rows (fewer than ``G * n``:
+below 8,192 normals for rows under 64 normals, 63 rows otherwise), so
+accepts do not depend on the chunk size.
 
 One chunk runner draws every proposal layer by layer through
 :func:`network.sample_layers`, the layer loop that prior draws use too; the
@@ -49,11 +50,16 @@ it), one normal per unit and point. Both views give the same Gaussian
   and 1000, depth 3 and 4 train points, against 17, 125 and 12,005 with
   every layer in function space.
 
-Each likelihood factor is at most 1, so ``u >= l_p`` at one train point p
-rejects a proposal exactly (delayed acceptance, Christen & Fox 2005). With
-a function-space layer and two or more train points a proposal passes up to
-three stages; p has the least survival ``E[l_i]`` under the NNGP marginal
-``f_i ~ N(0, K_ii)`` (:func:`_survival`; the lowest index on a tie).
+Each likelihood factor is at most 1, so ``u >= prod l_i`` over any subset
+of the train points rejects a proposal exactly (delayed acceptance, Christen
+& Fox 2005). With a function-space layer and two or more train points a
+proposal is drawn in stages over the train points, taken in train order
+after the screening point p, the point of least survival ``E[l_i]`` under
+the NNGP marginal ``f_i ~ N(0, K_ii)`` (:func:`_survival`; the lowest index
+on a tie). On the default data ascending survival would take x = pi/3 second,
+whose output is anti-correlated with p's and so passes with it: 5.5% of
+proposals would survive two points instead of 4.6%, and the evidence's
+relative standard error would be 8.6% instead of 8.0% at width 100.
 
 * Stage 0 draws no hidden layer. A function-space output layer at p is
   ``f_p = s * e``, with e its block-row normals, one per output unit, and s
@@ -69,24 +75,36 @@ three stages; p has the least survival ``E[l_i]`` under the NNGP marginal
   With the output layer in weight space B is 1 and nothing is rejected.
   On the default sweep's data 37.6% pass at sigma2 = 0.1 and 30% at 0.01;
   relu, whose range has no upper end, passes 71% at width 30 and 0.1.
-* Stage 1 draws the rest of its row at p from substream 2 of its key: each
+* Stage 1 draws the rest of its row at p from substream 1 of its key: each
   weight-space layer's W and b, one normal per unit of each function-space
   layer (4,001 normals at width 1000, 41 at width 10), and screens out
   ``u >= l_p``. About 21% of all proposals survive at sigma2 = 0.1.
-* Stage 2 extends each survivor from p to the other train points by the
-  conditioned route of :func:`network.sample_layers`, ``m_train - 1``
-  normals per function-space unit, weight-space layers reusing their W and
-  b, and tests ``u < l_p * l_rest``.
+* Stage k >= 2 extends the survivors of stage k - 1 to as many new train
+  points as all earlier stages drew together (1, 1, 2, 4, ... points;
+  :func:`_stage_sizes`), conditioned on every point drawn so far by the
+  conditioned route of :func:`network.sample_layers`: ``units * points``
+  normals per function-space layer from substream k, weight-space layers
+  reusing their W and b. It screens out ``u >= prod l_i`` over the points
+  drawn so far. On the default data (4 points: stages of 1, 1 and 2) 4.6%
+  of all proposals survive two points, and the 0.3% that survive all four
+  are accepted.
 
-So width 1000 takes about 2,800 normals per proposal instead of 10,005. A
-stage-1 draw re-keys a stream per proposal, which costs more than stage 0
-saves at small widths: at width 10 a 5,120-proposal call takes about 1.5
-ms more (+10%). The evidence estimate is the mean of ``1{u < l_p} * l_rest``
-(Horvitz & Thompson 1952), unbiased since ``P(u < l_p | f) = l_p``; stage
-0 rejects only proposals with ``u >= l_p``. An accepted proposal is
-extended to the eval points given every train point, p first: weight-space
-layers reuse their W and b, function-space layers take ``m_eval`` fresh
-normals per unit.
+So width 1000 takes about 2,100 train-path normals per proposal, against
+about 2,800 with a single stage after stage 1 and 10,005 unscreened. A
+5,120-proposal call of the default sweep takes about 30% less CPU time
+than with a single stage after stage 1 at width 1000, 40% less at width
+100 and 20% less at width 10. Each stage re-keys a stream per proposal
+(about 2 us), yet with chunks sized at stage 1 a screened call at width 10
+(41 normals at p) takes about 35% less CPU time than an unscreened one,
+and relu at width 30 about 40% less. The evidence estimate is the mean over all
+proposals of ``1{u < L_prefix} * l_last``, with ``L_prefix`` the product of
+``l_i`` over the points before the last stage and ``l_last`` over the last
+stage's points, and zero for every proposal screened out before the last
+stage (Horvitz & Thompson 1952); it is unbiased since ``P(u < L_prefix | f)
+= L_prefix``, and stage 0 rejects only proposals with ``u >= l_p``. An
+accepted proposal is extended to the eval points given every train point,
+in stage order: weight-space layers reuse their W and b, function-space
+layers take ``m_eval`` fresh normals per unit.
 
 Every function-space layer covariance is factored by
 :func:`numkit.chol_batch` (a fixed jitter, one attempt, else
@@ -126,9 +144,8 @@ __all__ = [
 ]
 
 _BLOCK = 64  # proposals per Philox key at 64 or more normals per proposal
-_EVAL_KEYS = 1 << 63  # proposal i's own key is _EVAL_KEYS + i: eval normals at
-_TAIL_SUBSTREAM = 1  # substream 0, stage-2 normals at this one
-_HEAD_SUBSTREAM = 2  # and stage-1 normals at this one
+_EVAL_KEYS = 1 << 63  # proposal i's own key is _EVAL_KEYS + i: stage k's normals
+# at its substream k, eval normals at substream 0
 _MARGIN = 1e-9  # relative gap of u and ell below which the log test decides
 _TINY = 1e-290  # u or ell below this is decided by the log test
 # Stage 0 widens the output scale's range by this much, relative and absolute
@@ -225,9 +242,12 @@ class SamplerReport:
     a zero-accept run is reported, not raised, so sweeps can surface it as
     an ``accepts = 0`` row.
     ``survivors`` counts the proposals that pass stage 1 (all when nothing
-    is screened). ``mean_likelihood`` then averages ``1{u < l_p} * l_rest``:
-    unbiased, with 1.5-2.0 times the plain mean's variance at widths
-    10-1000, sigma2 = 0.1; 0.0 with no standard error if none survives.
+    is screened). ``mean_likelihood`` then averages ``1{u < L_prefix} *
+    l_last`` over all proposals, zero for those screened out before the
+    last stage: unbiased, with about 2.5-2.6 times the plain mean's variance
+    at widths 10 and 100, sigma2 = 0.1, about 1.5 times that of a single
+    stage after stage 1 at widths 10-1000; 0.0 with no standard error if
+    none survives stage 1.
     """
 
     proposals: int
@@ -346,6 +366,16 @@ def _survival(config: NetworkConfig, train_x: np.ndarray, train_y: np.ndarray,
     return np.prod(np.sqrt(lik.sigma2 / var) * np.exp(-0.5 * train_y ** 2 / var), axis=1)
 
 
+def _stage_sizes(m: int) -> list:
+    """Train points that each stage of a screened run draws, out of ``m``:
+    one at stage 1, then at each later stage as many as all earlier stages
+    drew together (1, 1, 2, 4, ...), the last stage taking what is left."""
+    sizes = [1]
+    while sum(sizes) < m:
+        sizes.append(min(sum(sizes), m - sum(sizes)))
+    return sizes
+
+
 def _scale_range(config: NetworkConfig, x_p: np.ndarray) -> Tuple[float, float]:
     """The range of the output layer's scale s at the one point ``x_p``, the
     ``chol_batch`` factor of ``C = sigma_w^2 / d * sum_j phi(h_j)^2 +
@@ -425,98 +455,113 @@ def _eval_normals(z_eval: np.ndarray, train_normals, part: np.ndarray,
             off += dims[l + 1] * me
 
 
+def _stage_one_floats(config: NetworkConfig, m_train: int, mode: str) -> int:
+    """Floats one proposal of a screened run holds at stage 1, which size its
+    default chunks and its stage-1 slices: its stage-1 row or one layer's
+    values at its one point, whichever is larger."""
+    return max(_normals_per_proposal(config, m_train, mode, 1), max(config.layer_dims[1:]))
+
+
 def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indices, scales,
-               screen=None):
+               order=None):
     mt, me = train_x.shape[0], eval_x.shape[0]
     dims = config.layer_dims
     rule = _rule_at(mode, mt)
     space = _layout(config, mt, mode)[0]
-    # Stage 1 draws the `head` train points (the screening point, or all of
-    # them), stage 2 a survivor's `tail`; the eval extension takes both.
-    order, mh = np.arange(mt), mt
-    if screen is not None:
-        order, mh = np.r_[screen, np.delete(order, screen)], 1
-    cond_x, y = train_x[order], train_y[order]
-    head, y_head, tail, y_tail = cond_x[:mh], y[:mh], cond_x[mh:], y[mh:]
-    mr = mt - mh
+    # Stage k draws the train points cond_x[ends[k - 1]:ends[k]]: all of them
+    # at stage 1, or in a screened run the stage groups in the screening
+    # `order`. The eval extension conditions on all of them.
+    sizes, cond_x, y = [mt], train_x, train_y
+    if order is not None:
+        sizes, cond_x, y = _stage_sizes(mt), train_x[order], train_y[order]
+    ends = np.cumsum([0] + sizes)
+    mh = sizes[0]
+    head, y_head = cond_x[:mh], y[:mh]
     units = sum(dims[l + 1] for l in range(len(space)) if not space[l])  # in function space
-    tail_total, eval_total = units * mr, units * me
+    eval_total = units * me
     row = _normals_per_proposal(config, mt, mode, mh)  # a stage-1 row
     # A screened run's block row holds the output layer's normals at p and the
     # acceptance normal, the tail of a stage-1 row; stage 0 keeps a proposal
     # unless u is above its bound, and a kept one draws the head of its row
     # from its own key.
     head_total, scale = 0, None
-    if screen is not None:
+    if order is not None:
         head_total = row - 1 - dims[-1] * (dims[-2] + 1 if space[-1] else 1)
         scale = None if space[-1] else _scale_range(config, head[0])
     count = row - head_total
     acc = MomentAccumulator.zeros(me * config.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
-    lik_acc = MomentAccumulator.zeros(1)  # over the survivors; the others add zeros
+    lik_acc = MomentAccumulator.zeros(1)  # over the stage-1 survivors; the others add zeros
     # Floats held per stage-1 proposal (its row, a layer's values at p), per
-    # survivor (stage-2 normals, a layer's train values) and per accept (eval
-    # normals, a layer's eval values, me x me covariances).
-    per_head = max(row, max(dims))
+    # stage-1 survivor (a later stage's normals, a layer's train values) and
+    # per accept (eval normals, a layer's eval values, me x me covariances).
     per_accept = max(row, eval_total, max(dims) * me, me * me if eval_total else 0)
-    per_live = max(row, tail_total, max(dims) * mt) if mr else per_accept
-    stream = GaussianStream(seed, _EVAL_KEYS + lo) if eval_total or tail_total else None
+    per_live = max(row, units * (mt - mh), max(dims) * mt) if mt > mh else per_accept
+    stream = GaussianStream(seed, _EVAL_KEYS + lo) if units else None
 
     def stage_one():
         """Yield each batch of the proposals that stage 1 draws, by index, with
         their stage-1 rows."""
         for pos, z in _gather(seed, lo, hi, count):
             kept = np.arange(z.shape[0])
-            if screen is None:
+            if order is None:
                 yield pos + kept, z
                 continue
             if scale is not None:
                 cut = _log_bound(lik, y_head[0], z[:, :-1], *scale)
                 cut += _BOUND_MARGIN * (1.0 - cut)
                 kept = _accepted(z[:, -1], cut, np.exp(cut))
-            for rows in _slices(kept, per_head):
+            for rows in _slices(kept, _stage_one_floats(config, mt, mode)):
                 z_row = np.empty((rows.size, row))
                 z_row[:, head_total:] = z[rows]
-                _keyed_normals(stream, pos + rows, _HEAD_SUBSTREAM, head_total,
-                               z_row[:, :head_total])
+                _keyed_normals(stream, pos + rows, 1, head_total, z_row[:, :head_total])
                 yield pos + rows, z_row
 
     for keys, z in stage_one():
         train_normals = list(layer_normals(z, config, mh, rule))
         # A conditioned extension reads each function-space layer's values and
-        # its input activations at the train points, kept from stage 1.
-        head_acts, head_layers = {}, []
-        for f, ws in zip(sample_layers(config, head, train_normals, rule=rule, g_out=head_acts),
+        # its input activations at the points drawn so far, kept from the
+        # stages before.
+        acts, layers = {}, []
+        for f, ws in zip(sample_layers(config, head, train_normals, rule=rule, g_out=acts),
                          space):
-            head_layers.append(None if ws else f)
+            layers.append(None if ws else f)
         logl = log_likelihood_batch(lik, np.swapaxes(f, 1, 2), y_head)  # (b, m, p)
         ell = np.exp(logl)
-        if not mr:
+        if len(sizes) == 1:
             lik_acc.update_block(ell[:, None])
         for part in _slices(_accepted(z[:, -1], logl, ell), per_live):
-            layers = [None if f is None else f[part] for f in head_layers]
-            acts = {l: g[part] for l, g in head_acts.items()}
-            if mr:  # stage 2: the survivors `part` at the other train points
-                z_tail = _keyed_normals(stream, keys[part], _TAIL_SUBSTREAM, tail_total)
-                normals = _eval_normals(z_tail, train_normals, part, space, dims, mr)
-                tail_acts = {}
-                tail_layers = list(sample_layers(config, tail, normals, head, layers, rule=rule,
-                                                 g_cond=acts, g_out=tail_acts))
-                logl_tail = log_likelihood_batch(lik, np.swapaxes(tail_layers[-1], 1, 2), y_tail)
-                lik_acc.update_block(np.exp(logl_tail)[:, None])
-                logl_all = logl[part] + logl_tail
-                hit = _accepted(z[part, -1], logl_all, np.exp(logl_all))
-                part = part[hit]
-                layers = [None if f is None else np.concatenate([f[hit], f_t[hit]], axis=-1)
-                          for f, f_t in zip(layers, tail_layers)]
-                acts = {l: np.concatenate([g[hit], tail_acts[l][hit]], axis=-1)
-                        for l, g in acts.items()}
+            layers_p = [None if f is None else f[part] for f in layers]
+            acts_p = {l: g[part] for l, g in acts.items()}
+            logl_p = logl[part]
+            # Evidence terms of these stage-1 survivors: l over the last
+            # stage's points for those that reach it, zero for the others.
+            terms, live = np.zeros(part.size), np.arange(part.size)
+            for k in range(2, len(sizes) + 1):  # stage k: `part` at the next group
+                a, b = ends[k - 1], ends[k]
+                z_k = _keyed_normals(stream, keys[part], k, units * (b - a))
+                normals = _eval_normals(z_k, train_normals, part, space, dims, b - a)
+                new_acts = {}
+                new = list(sample_layers(config, cond_x[a:b], normals, cond_x[:a], layers_p,
+                                         rule=rule, g_cond=acts_p, g_out=new_acts))
+                logl_new = log_likelihood_batch(lik, np.swapaxes(new[-1], 1, 2), y[a:b])
+                if k == len(sizes):
+                    terms[live] = np.exp(logl_new)
+                logl_p = logl_p + logl_new
+                hit = _accepted(z[part, -1], logl_p, np.exp(logl_p))
+                part, logl_p, live = part[hit], logl_p[hit], live[hit]
+                layers_p = [None if f is None else np.concatenate([f[hit], f_n[hit]], axis=-1)
+                            for f, f_n in zip(layers_p, new)]
+                acts_p = {l: np.concatenate([g[hit], new_acts[l][hit]], axis=-1)
+                          for l, g in acts_p.items()}
+            if len(sizes) > 1:
+                lik_acc.update_block(terms[:, None])
             for sub in _slices(np.arange(part.size), per_accept):
                 rows = part[sub]
                 z_eval = _keyed_normals(stream, keys[rows], 0, eval_total)
                 normals = _eval_normals(z_eval, train_normals, rows, space, dims, me)
-                picked = [None if f is None else f[sub] for f in layers]
-                g_picked = {l: g[sub] for l, g in acts.items()}
+                picked = [None if f is None else f[sub] for f in layers_p]
+                g_picked = {l: g[sub] for l, g in acts_p.items()}
                 for f_e in sample_layers(config, eval_x, normals, cond_x, picked, rule=rule,
                                          g_cond=g_picked):
                     pass
@@ -553,15 +598,20 @@ def rejection_sample(
     weight space only when ``fan_in + 1 <= m_train`` and draws the others
     in function space; ``"auto"`` picks by ``_proposal_floats``. Proposals
     are screened where the module docstring says: on a bound of the output
-    at one train point p before any hidden layer is drawn (stage 0), then
-    on the output at p (stage 1).
+    at one train point p before any hidden layer is drawn (stage 0), on the
+    output at p (stage 1), then on the outputs at doubling groups of the
+    other train points (stages 2, 3, ...).
 
-    The default ``chunk_size`` holds ``numkit.BATCH_FLOATS // f`` proposals
-    at ``f`` train-path floats per proposal (``_proposal_floats``), rounded
-    down to whole multiples of ``64 * ceil(64 / n)`` proposals at ``n``
-    normals per stage-1 row and at least one such multiple, so it depends
-    only on the config, ``train_x`` and the mode; a screened run's block row
-    is shorter, so its chunks can start inside a block. Chunks run on
+    The default ``chunk_size`` holds ``numkit.BATCH_FLOATS // f`` proposals,
+    rounded down to whole multiples of ``64 * ceil(64 / n)`` proposals at
+    ``n`` normals per stage-1 row and at least one such multiple, so it
+    depends only on the config, ``train_x`` and the mode. ``f`` is what every
+    proposal of a chunk holds at once: its train-path floats
+    (``_proposal_floats``), or in a screened run its stage-1 row or one
+    layer's values at p, whichever is larger (320 proposals at width 100 and
+    3,072 at width 10 on the default data); later stages run in slices of
+    their survivors. A screened run's block row is shorter than its stage-1
+    row, so its chunks can start inside a block. Chunks run on
     ``min(workers, numkit.available_cores())`` threads, at most twice that
     many submitted ahead of the merge, so threads and memory stay bounded
     whatever ``workers`` is; a failing chunk cancels the queued ones.
@@ -600,12 +650,17 @@ def rejection_sample(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "function" and record_params is not None:
         raise ValueError("parameter recording requires mode='parameter'")
-    screen = None  # stage 1 screens at this train point; None: one stage
+    order = None  # the train points in stage order; None: one stage
     if mt >= 2 and not all(_layout(config, mt, mode)[0]):
-        screen = int(np.argmin(_survival(config, train_x, train_y, likelihood)))
+        p = int(np.argmin(_survival(config, train_x, train_y, likelihood)))
+        order = np.r_[p, np.delete(np.arange(mt), p)]
     if chunk_size is None:
-        block = _block_size(_normals_per_proposal(config, mt, mode, mt if screen is None else 1))
-        per_chunk = _BATCH_BUDGET // _proposal_floats(config, mt, mode)
+        if order is None:
+            floats, points = _proposal_floats(config, mt, mode), mt
+        else:
+            floats, points = _stage_one_floats(config, mt, mode), 1
+        block = _block_size(_normals_per_proposal(config, mt, mode, points))
+        per_chunk = _BATCH_BUDGET // floats
         chunk_size = max(block, per_chunk - per_chunk % block)
 
     indices = scales = None
@@ -616,7 +671,7 @@ def rejection_sample(
     def run(lo):
         hi = min(lo + chunk_size, n_proposals)
         return _run_chunk(config, train_x, train_y, likelihood, eval_x, seed, lo, hi,
-                          mode, indices, scales, screen)
+                          mode, indices, scales, order)
 
     acc = MomentAccumulator.zeros(eval_x.shape[0] * config.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None
@@ -629,7 +684,7 @@ def rejection_sample(
         if pstats is not None:
             pstats.merge_in(chunk_pstats)
     n = n_proposals
-    # Each proposal screened out adds a zero to the evidence.
+    # Each proposal screened out at stage 0 or 1 adds a zero to the evidence.
     survivors = lik_acc.count
     lik_acc.merge_in(MomentAccumulator(n - survivors, np.zeros(1), np.zeros((1, 1))))
     se = float(np.sqrt(lik_acc.scatter[0, 0] / (n - 1) / n)) if n > 1 and survivors else None

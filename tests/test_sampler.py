@@ -200,10 +200,15 @@ class TestRejectionSampler:
             assert r.accepts == runs[0].accepts
             assert np.allclose(r.posterior_mean, runs[0].posterior_mean)
             assert np.allclose(r.posterior_cov, runs[0].posterior_cov)
+        # The default chunks (a screened run's are sized at stage 1) at one
+        # worker and at two give the same bits.
+        r1 = rejection_sample(cfg, tx, np.sin(tx), lik, EX, workers=1, **kw)
         r2 = rejection_sample(cfg, tx, np.sin(tx), lik, EX, workers=2, **kw)
-        assert r2.accepts == runs[0].accepts
-        assert np.array_equal(r2.posterior_mean, runs[0].posterior_mean)
-        assert np.array_equal(r2.posterior_cov, runs[0].posterior_cov)
+        assert r1.accepts == r2.accepts == runs[0].accepts
+        assert np.allclose(r1.posterior_mean, runs[0].posterior_mean)
+        assert np.array_equal(r2.posterior_mean, r1.posterior_mean)
+        assert np.array_equal(r2.posterior_cov, r1.posterior_cov)
+        assert r2.mean_likelihood == r1.mean_likelihood
 
     def test_chunk_size_none_is_the_default(self):
         r1 = rejection_sample(linear_config(), TX, TY, LIK, EX, 1000, seed=0)
@@ -417,22 +422,29 @@ def test_eval_keys_are_apart_from_block_ids_and_the_dataset_stream():
 
 
 def floats_per_proposal(cfg, m, mode):
-    """Parameter mode holds its normals; function mode every layer's train values."""
+    """Parameter mode holds its normals; function mode every layer's train
+    values, or, when it screens (two or more train points; every function-mode
+    case here has a function-space layer), its stage-1 row at one point or one
+    layer's values there, whichever is larger."""
     if mode == "parameter":
         return cfg.n_params + 1
+    if m >= 2:
+        dims = cfg.layer_dims
+        row = sum(u * (d + 1 if d + 1 <= m else 1) for d, u in zip(dims, dims[1:])) + 1
+        return max(row, max(dims[1:]))
     return (cfg.depth * cfg.hidden_width + cfg.output_dim) * m + 1
 
 
-@pytest.mark.parametrize("depth,width,m,mode,n", [
-    (0, 1, 3, "parameter", 100_000),   # the L=0 oracle: 3 normals, 43,648 per chunk
-    (3, 1, 4, "parameter", 50_000),    # 9 normals: blocks of 512, 14,336 per chunk
-    (3, 10, 0, "function", 300_000),   # no train points, 1 normal: 131,072 per chunk
-    (3, 10, 4, "function", 5_000),     # 125 floats, 105 normals: 1,024 per chunk
-    (3, 100, 4, "function", 1_000),    # 1,205 floats: one block per chunk
-    (3, 1000, 4, "function", 200),     # 12,005 floats: one block, larger than the budget
-    (1, 1000, 1, "parameter", 300),    # 3,002 normals
+@pytest.mark.parametrize("depth,width,m,mode,n,chunk", [
+    (0, 1, 3, "parameter", 100_000, 43_648),  # the L=0 oracle: 3 normals
+    (3, 1, 4, "parameter", 50_000, 14_336),   # 9 normals: blocks of 512
+    (3, 10, 0, "function", 300_000, 131_072),  # no train points, 1 normal
+    (3, 10, 4, "function", 5_000, 3_072),      # 42 floats at stage 1: blocks of 128
+    (3, 100, 4, "function", 1_000, 320),       # 402 floats at stage 1: blocks of 64
+    (3, 1000, 4, "function", 200, 64),         # 4,002 at stage 1: one block, over budget
+    (1, 1000, 1, "parameter", 300, 64),        # 3,002 normals
 ])
-def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n,
+def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n, chunk,
                                                       monkeypatch):
     cfg = NetworkConfig(depth=depth, input_dim=1, output_dim=1, hidden_width=width,
                         nonlinearity="erf")
@@ -450,7 +462,9 @@ def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n,
                               chunk_size=None)
     assert report.proposals == n and report.mean_likelihood == 1.0
     count = floats_per_proposal(cfg, m, mode)
-    block = sampler._block_size(sampler._normals_per_proposal(cfg, m, mode))
+    screened = mode == "function" and m >= 2
+    block = sampler._block_size(sampler._normals_per_proposal(cfg, m, mode,
+                                                              1 if screened else m))
     assert [lo for lo, _ in spans] == list(range(0, n, spans[0][1]))
     assert spans[-1][1] == n
     for lo, hi in spans:
@@ -460,7 +474,7 @@ def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n,
         else:
             assert (hi - lo) * count <= BATCH_FLOATS
     full = spans[0][1]
-    assert full % block == 0
+    assert full % block == 0 and full == min(chunk, n)
     if block * count <= BATCH_FLOATS:
         assert (full + block) * count > BATCH_FLOATS or len(spans) == 1
 
@@ -707,15 +721,16 @@ def test_parameter_mode_recorded_params_are_pinned(parametrisation, stats):
         np.testing.assert_allclose(report.recorded_param_stats[idx], (mean, var), rtol=1e-12)
 
 
-# Two-stage proposals: a screen at one train point, then the other points
-# for the survivors only.
+# Staged proposals: a screen at one train point, then groups of further
+# points for the survivors only.
 SCREEN_CFG = NetworkConfig(depth=2, input_dim=1, output_dim=1, hidden_width=20)
 SCREEN_X = np.linspace(-1, 1, 3)[:, None]
 
 
 def test_modes_agree_on_the_evidence():
-    # test_modes_agree_statistically's config: function mode screens at one
-    # point and reports 1{u < l_p} * l_rest, parameter mode the plain mean.
+    # test_modes_agree_statistically's config: function mode screens in three
+    # stages of one point and reports 1{u < L_prefix} * l_last, parameter mode
+    # the plain mean.
     lik = LikelihoodSpec("gaussian", sigma2=0.25)
     ty = np.sin(SCREEN_X)
     rp = rejection_sample(SCREEN_CFG, SCREEN_X, ty, lik, EX, 30_000, seed=11, mode="parameter")
@@ -734,25 +749,82 @@ def screen_case(case):
     return cfg, tx, np.eye(3)[[0, 1, 2, 1]], LikelihoodSpec("categorical", num_classes=3)
 
 
+@pytest.mark.parametrize("m,sizes", [
+    (1, [1]), (2, [1, 1]), (3, [1, 1, 1]), (4, [1, 1, 2]), (5, [1, 1, 2, 1]),
+    (6, [1, 1, 2, 2]), (7, [1, 1, 2, 3]), (8, [1, 1, 2, 4]), (9, [1, 1, 2, 4, 1]),
+])
+def test_stage_groups_double(m, sizes):
+    # Each stage after the first draws as many points as all earlier stages
+    # together, the last one what is left.
+    assert sampler._stage_sizes(m) == sizes
+
+
+@pytest.mark.parametrize("case", ["gaussian", "categorical"])
+def test_staged_runs_agree_with_parameter_mode(case):
+    # Four train points: stages of 1, 1 and 2 points in function mode, none in
+    # parameter mode. Same accept rate, evidence and posterior mean, each
+    # within 4 combined standard errors.
+    cfg, tx, ty, lik = screen_case(case)
+    kw = dict(n_proposals=60_000, seed=19)
+    rp = rejection_sample(cfg, tx, ty, lik, EX, mode="parameter", **kw)
+    rf = rejection_sample(cfg, tx, ty, lik, EX, mode="function", **kw)
+    assert rp.survivors == rp.proposals and 0 < rf.survivors < rf.proposals
+    assert min(rp.accepts, rf.accepts) > 300
+    rate = (rp.accepts + rf.accepts) / (2 * kw["n_proposals"])
+    assert abs(rp.accept_rate - rf.accept_rate) < 4 * np.sqrt(2 * rate / kw["n_proposals"])
+    se = np.hypot(rp.mean_likelihood_se, rf.mean_likelihood_se)
+    assert abs(rp.mean_likelihood - rf.mean_likelihood) < 4 * se
+    se_mean = np.sqrt(np.diag(rp.posterior_cov) / rp.accepts
+                      + np.diag(rf.posterior_cov) / rf.accepts)
+    assert np.all(np.abs(rp.posterior_mean - rf.posterior_mean) < 4 * se_mean)
+
+
+def test_staged_evidence_standard_error_is_honest():
+    # Depth 0 on 5 inputs: the one layer is in function space on 5 train
+    # points (stages of 1, 1, 2 and 1), and the evidence is known in closed
+    # form. Over 30 seeds the z-scores of mean_likelihood against it have a
+    # mean square near 1 (0.1% quantiles of chi^2_30 / 30: 0.45 and 1.98).
+    cfg = NetworkConfig(depth=0, input_dim=5, output_dim=1, sigma_b=0.3,
+                        nonlinearity="identity")
+    rng = np.random.default_rng(12)
+    tx = rng.standard_normal((5, 5))
+    ty = tx @ rng.standard_normal((5, 1)) / np.sqrt(5)
+    lik = LikelihoodSpec("gaussian", sigma2=0.3)
+    k = nngp_kernel(cfg, tx, tx)
+    s2, y = lik.sigma2, ty[:, 0]
+    _, logdet = np.linalg.slogdet(np.eye(5) + k / s2)
+    z_true = np.exp(-0.5 * logdet - 0.5 * y @ np.linalg.solve(k + s2 * np.eye(5), y))
+    z = []
+    for seed in range(30):
+        r = rejection_sample(cfg, tx, ty, lik, tx[:2], 4_000, seed=seed, mode="function")
+        assert r.survivors < r.proposals
+        z.append((r.mean_likelihood - z_true) / r.mean_likelihood_se)
+    z = np.array(z)
+    assert 0.45 < np.mean(z ** 2) < 1.98
+    assert abs(z.mean()) < 4 / np.sqrt(z.size)
+
+
 @pytest.mark.parametrize("case", ["gaussian", "categorical"])
 def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
     # Complete the train path of every proposal of a seeded run, screened out
-    # or not, from its block row and its stage-1 and stage-2 keys: no
-    # proposal screened out at stage 0 or 1 has u < l, and the full test
+    # or not, from its block row and the substreams of its own key, stage by
+    # stage as the run draws it (4 points: groups of 1, 1 and 2): no proposal
+    # screened out at stage 0 or at any later stage has u < l, the run drew
+    # stage k for exactly the survivors of stage k - 1, and the full test
     # accepts what the run accepted.
     cfg, tx, ty, lik = screen_case(case)
     n, seed, mt, dims = 640, 3, tx.shape[0], cfg.layer_dims
-    screens, stage_one = [], set()
+    orders, drawn = [], collections.defaultdict(set)
 
     def spy(config, train_x, train_y, lik_, eval_x, seed_, lo, hi, mode, indices, scales,
-            screen):
-        screens.append(screen)
+            order):
+        orders.append(order)
         return runner(config, train_x, train_y, lik_, eval_x, seed_, lo, hi, mode, indices,
-                      scales, screen)
+                      scales, order)
 
     def rekey_spy(self, stream_id, substream=0):
-        if substream == 2:
-            stage_one.add(stream_id - sampler._EVAL_KEYS)
+        if substream:
+            drawn[substream].add(stream_id - sampler._EVAL_KEYS)
         return rekey(self, stream_id, substream)
 
     runner, rekey = sampler._run_chunk, GaussianStream.rekey
@@ -761,8 +833,10 @@ def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
     report = rejection_sample(cfg, tx, ty, lik, EX, n, seed=seed, mode="function",
                               chunk_size=256)
     monkeypatch.setattr(GaussianStream, "rekey", rekey)
-    p = screens[0]
-    assert p == int(np.argmin(sampler._survival(cfg, tx, ty, lik)))
+    order, p = orders[0], int(np.argmin(sampler._survival(cfg, tx, ty, lik)))
+    assert list(order) == [p] + [i for i in range(mt) if i != p]
+    assert sorted(drawn) == [1, 2, 3]
+    cx, cy = tx[order], ty[order]
     rule = lambda fan_in, points: fan_in + 1 <= mt  # noqa: E731  (decided at m_train)
     row = sum(u * (d + 1 if rule(d, mt) else 1) for d, u in zip(dims, dims[1:])) + 1
     count = dims[-1] + 1  # the block row: the output layer at p, then u
@@ -775,30 +849,37 @@ def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
             stream.normal(total, out=z[i])
         return z
 
-    z = np.hstack([keyed(2, row - count)] + [rows for _, rows in _gather(seed, 0, n, count)])
-    theta = list(layer_normals(z, cfg, 1, rule))
-    at_p = list(sample_layers(cfg, tx[[p]], theta, rule=rule))
-    rest = np.arange(mt) != p
-    per_unit = [0 if rule(d, mt) else u * (mt - 1) for d, u in zip(dims, dims[1:])]
-    z_tail = keyed(1, sum(per_unit))
-    cuts = np.cumsum([0] + per_unit)
-    normals = [th if not k else z_tail[:, a:a + k].reshape(n, -1, mt - 1)
-               for th, a, k in zip(theta, cuts, per_unit)]
-    at_rest = list(sample_layers(cfg, tx[rest], normals, tx[[p]], at_p, rule=rule))
-    out = np.concatenate([at_p[-1], at_rest[-1]], axis=-1)
-    logl = log_likelihood_batch(lik, np.swapaxes(out, 1, 2), np.vstack([ty[[p]], ty[rest]]))
-    logl_p = log_likelihood_batch(lik, np.swapaxes(at_p[-1], 1, 2), ty[[p]])
+    z = np.hstack([keyed(1, row - count)] + [rows for _, rows in _gather(seed, 0, n, count)])
     log_u = scipy.special.log_ndtr(z[:, -1])
-    out_at_p = log_u >= logl_p
+    theta = list(layer_normals(z, cfg, 1, rule))
+    layers = list(sample_layers(cfg, cx[:1], theta, rule=rule))
+    logl = log_likelihood_batch(lik, np.swapaxes(layers[-1], 1, 2), cy[:1])
+    out_at_p = log_u >= logl
     assert 0 < out_at_p.sum() < n
-    assert not np.any(log_u[out_at_p] < logl[out_at_p])
     assert report.survivors == n - out_at_p.sum()
-    assert report.accepts == np.sum(log_u < logl) > 0
     # Stage 0 keeps a superset of the stage-1 survivors and rejects only
     # proposals with u >= l_p.
-    out_at_0 = ~np.isin(np.arange(n), sorted(stage_one))
+    out_at_0 = ~np.isin(np.arange(n), sorted(drawn[1]))
     assert 0 < out_at_0.sum() <= out_at_p.sum()
-    assert not np.any(log_u[out_at_0] < logl_p[out_at_0])
+    assert not np.any(log_u[out_at_0] < logl[out_at_0])
+    alive, screened_out = ~out_at_p, [out_at_p]
+    for k, (a, b) in enumerate([(1, 2), (2, 4)], start=2):
+        assert drawn[k] == set(np.nonzero(alive)[0])
+        per_unit = [0 if rule(d, mt) else u * (b - a) for d, u in zip(dims, dims[1:])]
+        z_k = keyed(k, sum(per_unit))
+        cuts = np.cumsum([0] + per_unit)
+        normals = [th if not w else z_k[:, c:c + w].reshape(n, -1, b - a)
+                   for th, c, w in zip(theta, cuts, per_unit)]
+        new = list(sample_layers(cfg, cx[a:b], normals, cx[:a], layers, rule=rule))
+        layers = [np.concatenate([f, f_n], axis=-1) for f, f_n in zip(layers, new)]
+        logl = logl + log_likelihood_batch(lik, np.swapaxes(new[-1], 1, 2), cy[a:b])
+        screened_out.append(alive & (log_u >= logl))
+        alive &= log_u < logl
+        assert screened_out[-1].sum() > 0
+    full = log_likelihood_batch(lik, np.swapaxes(layers[-1], 1, 2), cy)
+    for out in screened_out:
+        assert not np.any(log_u[out] < full[out])
+    assert report.accepts == np.sum(log_u < full) == alive.sum() > 0
 
 
 @pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
@@ -882,10 +963,10 @@ def test_screening_point_has_the_least_predicted_survival(monkeypatch):
     lik = LikelihoodSpec("gaussian", sigma2=0.1)
     survival = sampler._survival(cfg, tx, np.sin(tx), lik)
     np.testing.assert_allclose(survival, [0.287, 0.212, 0.212, 0.287], atol=5e-4)
-    screens = []
+    orders = []
 
     def spy(config, train_x, train_y, lik_, eval_x, seed, lo, hi, *extra):
-        screens.append(extra[-1])
+        orders.append(None if extra[-1] is None else list(extra[-1]))
         return runner(config, train_x, train_y, lik_, eval_x, seed, lo, hi, *extra)
 
     runner = sampler._run_chunk
@@ -897,7 +978,9 @@ def test_screening_point_has_the_least_predicted_survival(monkeypatch):
     # Nothing to screen: every layer in weight space, or one train point.
     rejection_sample(cfg, tx, np.sin(tx), lik, EX, 64, seed=0, mode="parameter")
     rejection_sample(cfg, tx[:1], np.sin(tx[:1]), lik, EX, 64, seed=0, mode="function")
-    assert screens == [1, 0, None, None]
+    # p = 1 first, then the other points in train order; the categorical's
+    # equal survivals give p = 0.
+    assert orders == [[1, 0, 2, 3], [0, 1, 2, 3], None, None]
     np.testing.assert_array_equal(sampler._survival(ccfg, tx, np.eye(3)[[2, 1, 0, 1]], cat),
                                   np.full(4, 1 / 3))
 
@@ -907,10 +990,9 @@ def test_stage_two_substream_is_apart_from_block_ids_and_the_dataset_stream(monk
     last_block = top // sampler._BLOCK
     assert sampler._EVAL_KEYS > DATASET_STREAM_ID > last_block
     assert sampler._EVAL_KEYS + top < 1 << 64
-    # On proposal i's own key, stage 1 takes substream 2, stage 2 substream 1
-    # and the eval extension substream 0, whose 2**128 Philox blocks it never
-    # exhausts.
-    assert sampler._HEAD_SUBSTREAM == 2 and sampler._TAIL_SUBSTREAM == 1
+    # On proposal i's own key, stage k takes substream k (3 points: stages 1,
+    # 2 and 3) and the eval extension substream 0, whose 2**128 Philox blocks
+    # it never exhausts.
     keys = []
     rekey = GaussianStream.rekey
 
@@ -924,26 +1006,26 @@ def test_stage_two_substream_is_apart_from_block_ids_and_the_dataset_stream(monk
                               LikelihoodSpec("gaussian", sigma2=0.25), EX, n, seed=2,
                               mode="function", chunk_size=500)
     blocks = {k for k, s in keys if k < sampler._EVAL_KEYS}
-    head = [k - sampler._EVAL_KEYS for k, s in keys if s == 2]
-    tail = [k - sampler._EVAL_KEYS for k, s in keys if s == 1]
+    stages = [[k - sampler._EVAL_KEYS for k, s in keys if s == j] for j in (1, 2, 3)]
     evals = collections.Counter(k - sampler._EVAL_KEYS for k, s in keys
                                 if k >= sampler._EVAL_KEYS and s == 0)
-    assert {s for _, s in keys} == {0, 1, 2}
+    assert {s for _, s in keys} == {0, 1, 2, 3}
     assert max(blocks) < DATASET_STREAM_ID and all(s == 0 for k, s in keys if k in blocks)
-    assert len(tail) == len(set(tail)) == report.survivors < n
-    assert len(head) == len(set(head)) < n and set(tail) <= set(head)
-    assert all(0 <= i < n for i in head)
+    assert all(0 <= i < n for i in stages[0])
+    for earlier, later in zip([range(n)] + stages, stages):
+        assert len(later) == len(set(later)) < len(earlier) and set(later) <= set(earlier)
+    assert len(stages[1]) == report.survivors
     # Each chunk's stream starts at the chunk's first key; then every
-    # accepted proposal re-keys once, and it survived stage 1.
+    # accepted proposal re-keys once, and it reached the last stage.
     evals.subtract(range(0, n, 500))
     accepted = +evals
-    assert sum(accepted.values()) == report.accepts > 0 and set(accepted) <= set(tail)
+    assert sum(accepted.values()) == report.accepts > 0 and set(accepted) <= set(stages[2])
 
 
 def test_weight_space_output_layer_passes_every_proposal_to_stage_one(monkeypatch):
     # 4 inputs on 3 train points put the first layer in function space and,
     # at width 1, the output layer in weight space: stage 0 has no bound and
-    # every proposal draws its stage-1 row from its own key.
+    # every proposal draws its stage-1 row from substream 1 of its own key.
     cfg = NetworkConfig(depth=2, input_dim=4, output_dim=1, hidden_width=1)
     rng = np.random.default_rng(3)
     tx, ex = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
@@ -952,7 +1034,7 @@ def test_weight_space_output_layer_passes_every_proposal_to_stage_one(monkeypatc
     heads, rekey = [], GaussianStream.rekey
 
     def spy(self, stream_id, substream=0):
-        if substream == 2:
+        if substream == 1:
             heads.append(stream_id - sampler._EVAL_KEYS)
         return rekey(self, stream_id, substream)
 
