@@ -96,3 +96,32 @@ def test_one_point_products_equal_the_matmul(batch, units):
     schur = layer_cov(g_t, d, sw, sb) - np.swapaxes(c_xt, -1, -2) @ a_mat
     want = f_x @ a_mat + e_t @ np.swapaxes(chol_batch(schur), -1, -2)
     assert np.array_equal(layer_step(cfg, g_t, e_t, (g_x, f_x)), want)
+
+
+@pytest.mark.parametrize("k,t", [(2, 1), (3, 1), (3, 4)])
+def test_conditioning_on_several_points_solves_with_the_drawing_factor(k, t, monkeypatch):
+    # On two or more conditioning points A = C_xx^-1 C_xt comes from batched
+    # numpy.linalg solves with the chol_batch factor of C_xx, the jittered
+    # matrix that drew f_x: it matches scipy's cho_solve with that factor to
+    # rounding, and scipy's GIL-holding wrapper is not called.
+    import scipy.linalg
+
+    from widebnn.numkit import chol_batch
+
+    cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=12)
+    sw, sb, d, b = cfg.sigma_w, cfg.sigma_b, 12, 6
+    rng = np.random.default_rng(100 * k + t)
+    g = nonlinearity_fn("erf")(rng.standard_normal((b, d, k + t)))
+    g_x, g_t = g[..., :k], g[..., k:]
+    f_x, e = rng.standard_normal((b, 5, k)), rng.standard_normal((b, 5, t))
+    c = layer_cov(g, d, sw, sb)
+    l_xx = chol_batch(c[:, :k, :k])
+    a_mat = np.stack([scipy.linalg.cho_solve((l_xx[i], True), c[i, :k, k:]) for i in range(b)])
+    schur = c[:, k:, k:] - np.swapaxes(c[:, :k, k:], -1, -2) @ a_mat
+    want = f_x @ a_mat + e @ np.swapaxes(chol_batch(schur), -1, -2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cho_solve called")
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
+    np.testing.assert_allclose(layer_step(cfg, g_t, e, (g_x, f_x)), want, rtol=1e-10, atol=1e-12)
