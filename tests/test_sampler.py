@@ -435,7 +435,7 @@ def floats_per_proposal(cfg, m, mode):
     return (cfg.depth * cfg.hidden_width + cfg.output_dim) * m + 1
 
 
-@pytest.mark.parametrize("depth,width,m,mode,n,chunk", [
+SPAN_CASES = [
     (0, 1, 3, "parameter", 100_000, 43_648),  # the L=0 oracle: 3 normals
     (3, 1, 4, "parameter", 50_000, 14_336),   # 9 normals: blocks of 512
     (3, 10, 0, "function", 300_000, 131_072),  # no train points, 1 normal
@@ -443,7 +443,12 @@ def floats_per_proposal(cfg, m, mode):
     (3, 100, 4, "function", 1_000, 320),       # 402 floats at stage 1: blocks of 64
     (3, 1000, 4, "function", 200, 64),         # 4,002 at stage 1: one block, over budget
     (1, 1000, 1, "parameter", 300, 64),        # 3,002 normals
-])
+]
+
+
+# Each case is named by its inputs alone, not by the chunk it expects.
+@pytest.mark.parametrize("depth,width,m,mode,n,chunk", [
+    pytest.param(*case, id="-".join(map(str, case[:5]))) for case in SPAN_CASES])
 def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n, chunk,
                                                       monkeypatch):
     cfg = NetworkConfig(depth=depth, input_dim=1, output_dim=1, hidden_width=width,
