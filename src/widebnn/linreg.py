@@ -3,8 +3,9 @@
 Closed-form posterior, prior-to-posterior discrepancy rates over a width-like
 feature-count grid, the sqrt(n)/n reparametrisation comparison, and the
 conjugate predictive used as an oracle for the rejection sampler. The rate
-study's full-matrix check computes W2 and KL for two (P, Q) pairs at once,
-on at most min(cores, 2) threads (:func:`rate_sweep`).
+study's full-matrix check computes W2 and KL of one (posterior, prior) pair
+per grid point and checks the rescaled pair through the identities of the
+map x -> sqrt(n) x (:func:`rate_sweep`).
 
 The prior is w ~ N(0, (alpha/n) I_n) with alpha = beta = 1 unless stated; the
 design matrix has m rows (observations) and n columns (features).
@@ -21,7 +22,7 @@ import scipy.special
 from .errors import DimensionMismatch, RouteMismatch
 from .kernels import GaussianPredictive
 from .metrics import GaussianDist, w2_kl_gaussian
-from .numkit import GaussianStream, as_matrix, available_cores, is_seed, ordered_map, solve_spd
+from .numkit import GaussianStream, as_matrix, is_seed, solve_spd
 
 __all__ = [
     "LinRegProblem",
@@ -153,11 +154,13 @@ def rate_sweep(
     :mod:`widebnn.metrics` and must agree with the spectral expansion within
     a relative 1e-8, else :class:`RouteMismatch` is raised; full matrices at
     the top of the grid would be too large to factor, so the dual route is
-    capped. The general routes take two pairs per grid point, (posterior,
-    prior) and (rescaled posterior, N(0, I)); each pair gives its W2 and KL
-    from one Cholesky factor of each covariance
-    (:func:`metrics.w2_kl_gaussian`). The pairs run concurrently through
-    :func:`numkit.ordered_map` on min(cores, 2) threads, and the four values
+    capped. The general route takes one pair per grid point, (posterior,
+    prior), whose W2 and KL come from one Cholesky factor of each covariance
+    (:func:`metrics.w2_kl_gaussian`, on min(cores, 2) threads). The rescaled
+    pair (N(sqrt(n) mu, n Sigma), N(0, I)) is the first pushed through
+    x -> sqrt(n) x: KL is invariant under a map applied to both sides and
+    the squared W2 scales by n, so ``w2_ntk_sq`` is checked against n times
+    the general W2 and ``kl_ntk`` against the general KL. The four values
     are compared in the order W2, KL, rescaled W2, rescaled KL; every row
     comes from the spectral route, so rows do not depend on the core count.
     A seed outside [0, 2**64) raises ``ValueError``.
@@ -224,14 +227,10 @@ def _dual_check(x, y, mu, w2_sq, kl, w2_ntk_sq, kl_ntk):
     post = linreg_posterior(LinRegProblem(x, y))
     if not np.allclose(post.mean, mu, rtol=0, atol=1e-12):
         raise RouteMismatch("posterior mean mismatch between routes")
-    # The distributions are built here, on the calling thread, so that pool
-    # threads allocate only their own pair's work arrays.
-    pairs = [(post, GaussianDist(np.zeros(n), np.eye(n) / n)),
-             (ntk_rescale(post, n), GaussianDist(np.zeros(n), np.eye(n)))]
-    results = ordered_map(lambda pq: w2_kl_gaussian(*pq), pairs,
-                          min(available_cores(), len(pairs)))
-    values = [value for pair in results for value in pair]  # w2, kl of each pair
-    for got, want, label in zip(values, [w2_sq, kl, w2_ntk_sq, kl_ntk],
+    w2_gen, kl_gen = w2_kl_gaussian(post, GaussianDist(np.zeros(n), np.eye(n) / n))
+    # The rescaled pair is this pair under x -> sqrt(n) x: W2^2 times n, same KL.
+    for got, want, label in zip([w2_gen, kl_gen, n * w2_gen, kl_gen],
+                                [w2_sq, kl, w2_ntk_sq, kl_ntk],
                                 ["w2_sq", "kl", "w2_ntk_sq", "kl_ntk"]):
         if abs(got - want) > _DUAL_CHECK_TOL * max(1.0, abs(want)):
             raise RouteMismatch(

@@ -20,8 +20,10 @@ Q = F_Q F_Q^T:
 ``w2_gaussian`` factors with :func:`numkit.psd_factor`, so either side may be
 a point mass or rank-deficient; ``kl_gaussian`` needs both covariances
 positive definite; ``w2_kl_gaussian`` returns both distances from one
-Cholesky factor of each covariance. The spectrum is found by
-``numpy.linalg``, which releases the GIL, so pairs on pool threads overlap.
+Cholesky factor of each covariance. It factors Q beside P, and then runs W2
+beside KL, on min(cores, 2) threads (:func:`numkit.ordered_map`). W2 works
+through ``numpy``, whose products and ``linalg.eigvalsh`` release the GIL,
+so it overlaps KL's ``scipy.linalg.solve_triangular`` calls, which hold it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     SingularDistribution,
     ZeroReference,
 )
-from .numkit import as_matrix, cholesky, clip_psd, psd_factor
+from .numkit import as_matrix, available_cores, cholesky, clip_psd, ordered_map, psd_factor
 
 __all__ = ["GaussianDist", "rel_frobenius", "w2_gaussian", "kl_gaussian", "w2_kl_gaussian"]
 
@@ -144,16 +146,27 @@ def w2_kl_gaussian(p: GaussianDist, q: GaussianDist) -> tuple[float, float]:
     """``(w2_gaussian(p, q), kl_gaussian(p, q))`` from one Cholesky factor of
     each covariance; both covariances must be positive definite, as for KL.
 
-    After the KL, G = L_Q^T L_P overwrites L_P and G G^T overwrites L_Q, so
-    the W2 step allocates no n x n array but the eigensolver's copy. Column
-    block j: of L_P is zero above row j, so it meets only rows j: of L_Q,
-    which halves the work of G."""
+    Q is factored beside P, and then W2 runs beside KL, each pair on
+    min(cores, 2) threads; with one core the four steps run on the calling
+    thread in that order. Q's exception wins when both factors fail. KL
+    reads L_Q and L_P while W2 runs, so W2 holds two n x n arrays of its
+    own at a time: G = L_Q^T L_P and G G^T, then G G^T and the
+    eigensolver's copy."""
     _check_dims(p, q)
-    lq = cholesky(q.cov)
-    lp = _p_cholesky(p)
-    kl = _kl(p, q, lq, lp)
-    for j in range(0, p.dim, _KL_BLOCK):
-        lp[:, j:j + _KL_BLOCK] = lq[j:].T @ lp[j:, j:j + _KL_BLOCK]
-    gram = np.matmul(lp, lp.T, out=lq)
-    del lp  # G, before the eigensolver copies G G^T
-    return _w2_sq(p, q, gram), kl
+    lq, lp = _both(lambda: cholesky(q.cov), lambda: _p_cholesky(p))
+    return _both(lambda: _w2_sq(p, q, _gram(lq, lp)), lambda: _kl(p, q, lq, lp))
+
+
+def _both(first, second) -> tuple:
+    """``(first(), second())``, side by side on min(cores, 2) threads; if both
+    raise, ``first``'s exception is the one raised."""
+    return tuple(ordered_map(lambda f: f(), (first, second), min(available_cores(), 2)))
+
+
+def _gram(lq: np.ndarray, lp: np.ndarray) -> np.ndarray:
+    """G G^T for G = L_Q^T L_P. Column block j: of L_P is zero above row j,
+    so it meets only rows j: of L_Q, which halves the work of G."""
+    g = np.empty_like(lp)
+    for j in range(0, lp.shape[1], _KL_BLOCK):
+        np.matmul(lq[j:].T, lp[j:, j:j + _KL_BLOCK], out=g[:, j:j + _KL_BLOCK])
+    return g @ g.T

@@ -23,7 +23,9 @@ LAPACK work meant to run on :func:`ordered_map` threads goes through
 draws solve with their ``chol_batch`` factor by batched ``numpy.linalg.solve``
 (:func:`widebnn.network.layer_step`). The ``scipy.linalg`` wrappers used in
 the closed forms (``cho_solve`` in :func:`solve_spd`; ``solve_triangular`` in
-:mod:`widebnn.metrics`) hold it, so two threads calling them take turns.
+the KL of :mod:`widebnn.metrics`) hold it, so at most one pool thread runs
+them: :func:`widebnn.metrics.w2_kl_gaussian` runs its KL beside a W2 that
+works through ``numpy``.
 """
 
 from __future__ import annotations

@@ -246,8 +246,11 @@ class SamplerReport:
     l_last`` over all proposals, zero for those screened out before the
     last stage: unbiased, with about 2.5-2.6 times the plain mean's variance
     at widths 10 and 100, sigma2 = 0.1, about 1.5 times that of a single
-    stage after stage 1 at widths 10-1000; 0.0 with no standard error if
-    none survives stage 1.
+    stage after stage 1 at widths 10-1000. It reads 0.0 with no standard
+    error (``mean_likelihood_se`` None) when no proposal adds a non-zero
+    term: none survives stage 1, none reaches the last stage, or every
+    likelihood underflows. A zero standard error there would claim a
+    certainty that the run does not have.
     """
 
     proposals: int
@@ -259,7 +262,8 @@ class SamplerReport:
     recorded_param_stats: Optional[Dict[int, Tuple[float, float]]] = None
     mode: str = "parameter"
     # Mean over all proposals of the (sup-1) likelihood, the expected accept
-    # rate, and its Monte Carlo standard error (None below two proposals).
+    # rate, and its Monte Carlo standard error (None below two proposals or
+    # when every term is zero).
     mean_likelihood: Optional[float] = None
     mean_likelihood_se: Optional[float] = None
     survivors: Optional[int] = None
@@ -687,7 +691,8 @@ def rejection_sample(
     # Each proposal screened out at stage 0 or 1 adds a zero to the evidence.
     survivors = lik_acc.count
     lik_acc.merge_in(MomentAccumulator(n - survivors, np.zeros(1), np.zeros((1, 1))))
-    se = float(np.sqrt(lik_acc.scatter[0, 0] / (n - 1) / n)) if n > 1 and survivors else None
+    # Every term is >= 0, so a zero mean means no proposal added a non-zero one.
+    se = float(np.sqrt(lik_acc.scatter[0, 0] / (n - 1) / n)) if n > 1 and lik_acc.mean[0] else None
 
     if acc.count >= 2:
         mean, cov = finalize(acc)

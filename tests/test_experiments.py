@@ -24,7 +24,7 @@ from widebnn.experiments import (
 from widebnn.likelihood import LikelihoodSpec
 from widebnn.network import NetworkConfig, forward, sample_prior
 from widebnn.numkit import GaussianStream
-from widebnn import cli, linreg, sampler
+from widebnn import cli, linreg, metrics, sampler
 
 
 def base_doc(**over):
@@ -285,10 +285,11 @@ class TestWidthSweep:
             got = list(csv.DictReader(fh))
         for r, line in zip(rows, got):
             assert r.accepts == 0 and r.rf_cov_nngp is None
-            assert r.mean_likelihood is not None and r.mean_likelihood_se is not None
-            assert line["rf_cov_nngp"] == ""
+            # Every likelihood underflows at this sigma2: the evidence reads
+            # 0.0 with no standard error, an empty cell.
+            assert r.mean_likelihood == 0.0 and r.mean_likelihood_se is None
+            assert line["rf_cov_nngp"] == "" and line["mean_likelihood_se"] == ""
             assert float(line["mean_likelihood"]) == r.mean_likelihood
-            assert float(line["mean_likelihood_se"]) == r.mean_likelihood_se
 
     def test_csv_columns_are_the_sweep_row_fields(self, tmp_path):
         names = [f.name for f in fields(SweepRow)]
@@ -399,8 +400,9 @@ class TestCli:
         assert err.startswith("error: w2_sq: spectral route") and "Traceback" not in err
 
     def test_linreg_rates_wrong_kl_on_a_worker_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(linreg, "w2_kl_gaussian", shifted_w2_kl(0.0, 1.0))
-        monkeypatch.setattr(linreg, "available_cores", lambda: 2)
+        real_kl = metrics._kl  # runs on a pool thread beside the W2
+        monkeypatch.setattr(metrics, "_kl", lambda *args: real_kl(*args) + 1.0)
+        monkeypatch.setattr(metrics, "available_cores", lambda: 2)
         out = tmp_path / "rates.csv"
         assert cli.main(["linreg-rates", "--n-grid", "16,32", "--m", "4",
                          "--seed", "1", "--out", str(out)]) == 1

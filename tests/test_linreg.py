@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from widebnn import linreg
+from widebnn import metrics
 from widebnn.errors import DimensionMismatch, RouteMismatch
 from widebnn.linreg import (
     LinRegProblem,
@@ -15,7 +15,7 @@ from widebnn.linreg import (
     rate_sweep,
     uniform_design_rule,
 )
-from widebnn.metrics import GaussianDist, kl_gaussian, w2_gaussian
+from widebnn.metrics import GaussianDist, kl_gaussian, w2_gaussian, w2_kl_gaussian
 from widebnn.numkit import GaussianStream
 
 
@@ -125,34 +125,51 @@ class TestRateSweep:
         assert max(tail) / min(tail) < 2.0
 
     def test_rows_do_not_depend_on_the_core_count(self, monkeypatch):
-        # The two general-route pairs run on min(cores, 2) threads; every
-        # row field comes from the spectral route, so rows compare equal.
-        real_map, workers, rows = linreg.ordered_map, [], {}
+        # The general route's factors, and then its W2 and KL, run on
+        # min(cores, 2) threads; every row field comes from the spectral
+        # route, so rows compare equal.
+        real_map, workers, rows = metrics.ordered_map, [], {}
 
         def spy(fn, items, n):
             workers.append(n)
             return real_map(fn, items, n)
 
-        monkeypatch.setattr(linreg, "ordered_map", spy)
+        monkeypatch.setattr(metrics, "ordered_map", spy)
         for cores in (1, 2, 8):
-            monkeypatch.setattr(linreg, "available_cores", lambda: cores)
+            monkeypatch.setattr(metrics, "available_cores", lambda: cores)
             rows[cores] = rate_sweep([16, 64, 256, 1024, 2048], m=8, seed=3)
         assert rows[1] == rows[2] == rows[8]
-        assert workers == [1] * 4 + [2] * 4 + [2] * 4  # the four n <= 1024 each time
+        # Two steps at each of the four n <= 1024, each time.
+        assert workers == [1] * 8 + [2] * 8 + [2] * 8
 
     def test_wrong_general_route_raises_from_a_worker_thread(self, monkeypatch):
-        real, threads = linreg.w2_kl_gaussian, []
+        real, threads = metrics._kl, []
 
-        def wrong(p, q):
+        def wrong(*args):
             threads.append(threading.get_ident())
-            w2, kl = real(p, q)
-            return w2, kl + 1.0
+            return real(*args) + 1.0
 
-        monkeypatch.setattr(linreg, "w2_kl_gaussian", wrong)
-        monkeypatch.setattr(linreg, "available_cores", lambda: 2)
+        monkeypatch.setattr(metrics, "_kl", wrong)
+        monkeypatch.setattr(metrics, "available_cores", lambda: 2)
         with pytest.raises(RouteMismatch, match=r"^kl: spectral route"):
             rate_sweep([16, 32], m=4, seed=1)
         assert threads and threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("n", [16, 128, 1024])
+    def test_rescaled_pair_follows_from_the_first(self, n):
+        # The dual check computes (posterior, prior) and carries it to
+        # (rescaled posterior, N(0, I)) by x -> sqrt(n) x: W2^2 times n, the
+        # same KL. Here the rescaled pair is computed in full.
+        x = uniform_design_rule(8, n, GaussianStream(0, 2))
+        post = linreg_posterior(LinRegProblem(x, GaussianStream(0, 1).normal(8)))
+        w2, kl = w2_kl_gaussian(post, GaussianDist(np.zeros(n), np.eye(n) / n))
+        w2_ntk, kl_ntk = w2_kl_gaussian(ntk_rescale(post, n),
+                                        GaussianDist(np.zeros(n), np.eye(n)))
+        assert abs(w2_ntk - n * w2) <= 1e-10 * n * w2
+        assert abs(kl_ntk - kl) <= 1e-10 * kl
+        (row,) = rate_sweep([n], m=8, seed=0)  # the same design and targets
+        assert abs(row.w2_ntk_sq - w2_ntk) <= 1e-8 * row.w2_ntk_sq
+        assert abs(row.kl_ntk - kl_ntk) <= 1e-8 * row.kl_ntk
 
     def test_row_fields_are_python_numbers(self):
         for row in rate_sweep([16, 64, 2048], m=4, seed=2):

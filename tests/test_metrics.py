@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
 from widebnn.errors import (
     DimensionMismatch,
+    NotPositiveDefinite,
     NotPSD,
     SingularDistribution,
     ZeroReference,
@@ -263,7 +266,8 @@ class TestW2KL:
         for a, b in zip(before, (p.mean, p.cov, q.mean, q.cov)):
             assert np.array_equal(a, b)
 
-    def test_rejects_what_kl_rejects(self):
+    @staticmethod
+    def check_rejections():
         good = GaussianDist(np.zeros(3), np.eye(3))
         with pytest.raises(SingularDistribution):
             w2_kl_gaussian(GaussianDist(np.zeros(3), np.zeros((3, 3))), good)
@@ -271,6 +275,34 @@ class TestW2KL:
             w2_kl_gaussian(GaussianDist(np.zeros(3), asymmetric(3)), good)
         with pytest.raises(DimensionMismatch):
             w2_kl_gaussian(GaussianDist(np.zeros(2), np.eye(2)), good)
+
+    def test_rejects_what_kl_rejects(self):
+        self.check_rejections()
+
+    def test_same_values_and_errors_on_one_and_two_cores(self, monkeypatch):
+        real_kl, kl_threads = metrics._kl, []
+
+        def spy(*args):
+            kl_threads.append(threading.get_ident())
+            return real_kl(*args)
+
+        monkeypatch.setattr(metrics, "_kl", spy)
+        rng = np.random.default_rng(11)
+        pairs = [(random_dist(rng, random_pd(rng, n)), random_dist(rng, random_pd(rng, n)))
+                 for n in (1, 5, 300)]
+        got = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(metrics, "available_cores", lambda: cores)
+            kl_threads.clear()
+            got[cores] = [w2_kl_gaussian(p, q) for p, q in pairs]
+            on_caller = [t == threading.get_ident() for t in kl_threads]
+            assert on_caller == [cores == 1] * len(pairs)
+            self.check_rejections()
+            # Both factors fail: Q's error wins, as on one thread.
+            with pytest.raises(NotPositiveDefinite):
+                w2_kl_gaussian(GaussianDist(np.zeros(3), np.zeros((3, 3))),
+                               GaussianDist(np.zeros(3), np.zeros((3, 3))))
+        assert got[1] == got[2]
 
     def test_scipy_eigvalsh_is_never_called(self, monkeypatch):
         # scipy.linalg.eigvalsh holds the GIL, so two pool threads running it

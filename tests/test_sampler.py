@@ -640,6 +640,20 @@ def test_mean_likelihood_is_reported_when_nothing_is_accepted():
     assert report.mean_likelihood_se > 0.0
 
 
+@pytest.mark.parametrize("depth, width, m, scale, sigma2, n", [
+    (2, 20, 5, (3.0, 1.0), 0.02, 3000),   # screened: stage-1 survivors, no last-stage term
+    (3, 1, 4, (1.0, 50.0), 1e-3, 2000),   # unscreened: every likelihood underflows
+])
+def test_all_zero_evidence_has_no_standard_error(depth, width, m, scale, sigma2, n):
+    tx = np.linspace(-np.pi, np.pi, m)[:, None]
+    ty = scale[1] * np.sin(scale[0] * tx)
+    report = rejection_sample(NetworkConfig(depth, 1, 1, hidden_width=width), tx, ty,
+                              LikelihoodSpec("gaussian", sigma2=sigma2), tx, n, seed=0)
+    assert report.mode == ("function" if width > 1 else "parameter")
+    assert report.survivors > 0 and report.accepts == 0
+    assert report.mean_likelihood == 0.0 and report.mean_likelihood_se is None
+
+
 class TestAcceptTest:
     """``sampler._accepted`` decides exactly as ``log_ndtr(z) < logl``."""
 
