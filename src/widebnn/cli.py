@@ -66,9 +66,9 @@ def _cmd_sweep(args) -> int:
     out = args.out or config.output_path
     write_sweep_csv(rows, out)
     for r in rows:
+        dists = (("rf_mean_nngp", r.rf_mean_nngp), ("rf_cov_nngp", r.rf_cov_nngp))
         print(f"width={r.width} accepts={r.accepts}/{r.proposals}"
-              + ("" if r.rf_cov_nngp is None else
-                 f" rf_mean_nngp={r.rf_mean_nngp:.6g} rf_cov_nngp={r.rf_cov_nngp:.6g}"))
+              + "".join(f" {k}={v:.6g}" for k, v in dists if v is not None))
     print(f"wrote {out}")
     if all(r.rf_cov_nngp is None for r in rows):
         print("error: no width produced enough accepted samples", file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadRange, ConfigError
+from .errors import BadRange, ConfigError, ZeroReference
 from .kernels import gp_posterior, nngp_kernel, ntk_posterior
 from .likelihood import LikelihoodSpec
 from .linreg import RateRow, fit_loglog_slope, rate_sweep
@@ -134,8 +134,6 @@ def load_config(path: str) -> ExperimentConfig:
 def _grid(m: int, lo: float, hi: float) -> np.ndarray:
     if lo > hi or (m > 1 and lo == hi):
         raise BadRange(f"invalid range [{lo}, {hi}] for {m} points")
-    if m == 0:
-        return np.zeros((0, 1))
     return np.linspace(lo, hi, m)[:, None]
 
 
@@ -147,9 +145,7 @@ def build_dataset(config: ExperimentConfig):
         raise ConfigError("grid datasets require input_dim = 1")
     train_x = _grid(config.train_m, *config.train_range)
     test_x = _grid(config.test_m, *config.test_range)
-    if config.train_m == 0:
-        train_y = np.zeros((0, config.network.output_dim))
-    elif config.target_rule == "sin":
+    if config.target_rule == "sin":
         train_y = np.tile(np.sin(train_x), (1, config.network.output_dim))
     else:  # prior_draw: realizable targets from one fixed draw at max width
         cfg = config.network.with_width(max(config.widths))
@@ -172,9 +168,18 @@ class SweepRow:
     wall_seconds: float
 
 
+def _rel_distance(a, b) -> Optional[float]:
+    """:func:`rel_frobenius`, or None against a zero reference ``b``."""
+    try:
+        return rel_frobenius(a, b)
+    except ZeroReference:
+        return None
+
+
 def width_sweep(config: ExperimentConfig) -> List[SweepRow]:
     """Run the rejection sampler at every width and measure the relative
-    Frobenius distance of its posterior moments to the NNGP and NTK ones."""
+    Frobenius distance of its posterior moments to the NNGP and NTK ones;
+    a distance is None below two accepts or against a zero reference."""
     if config.likelihood.kind != "gaussian":
         raise ConfigError("the width sweep requires a gaussian likelihood")
     train_x, train_y, test_x = build_dataset(config)
@@ -195,10 +200,10 @@ def width_sweep(config: ExperimentConfig) -> List[SweepRow]:
             nngp = gp_posterior(k_fn, train_x, train_y, sigma2, test_x)
             ntk = ntk_posterior(cfg, train_x, train_y, sigma2, test_x)
             mean = report.posterior_mean[:, None]
-            dists = (rel_frobenius(mean, nngp.mean[:, None]),
-                     rel_frobenius(report.posterior_cov, nngp.cov),
-                     rel_frobenius(mean, ntk.mean[:, None]),
-                     rel_frobenius(report.posterior_cov, ntk.cov))
+            dists = (_rel_distance(mean, nngp.mean[:, None]),
+                     _rel_distance(report.posterior_cov, nngp.cov),
+                     _rel_distance(mean, ntk.mean[:, None]),
+                     _rel_distance(report.posterior_cov, ntk.cov))
         rows.append(SweepRow(width, report.proposals, report.accepts, *dists,
                              report.mean_likelihood, report.mean_likelihood_se, wall))
     return rows

@@ -139,18 +139,21 @@ def _expand_outputs(mean_tp: np.ndarray, cov_tt: np.ndarray, p: int) -> Gaussian
     return GaussianPredictive(mean=mean, cov=cov)
 
 
-def gp_posterior(k_fn: Callable, train_x, train_y, sigma2: float, test_x) -> GaussianPredictive:
-    """Closed-form GP regression posterior for kernel ``k_fn(X1, X2)``."""
-    test_x = as_matrix(test_x, "test_X")
-    ktt = k_fn(test_x, test_x)
-    train_x = np.asarray(train_x, dtype=np.float64)
-    if train_x.size == 0:
-        t = ktt.shape[0]
-        return GaussianPredictive(mean=np.zeros(t), cov=(ktt + ktt.T) / 2.0)
+def _train_set(train_x, train_y):
+    """``train_X`` and ``train_Y`` as matrices with one row per train point;
+    with zero rows the posteriors below are the prior predictive."""
     train_x = as_matrix(train_x, "train_X")
     y = as_matrix(train_y, "train_Y")
     if y.shape[0] != train_x.shape[0]:
         raise DimensionMismatch("train_Y rows must match train_X rows")
+    return train_x, y
+
+
+def gp_posterior(k_fn: Callable, train_x, train_y, sigma2: float, test_x) -> GaussianPredictive:
+    """Closed-form GP regression posterior for kernel ``k_fn(X1, X2)``."""
+    test_x = as_matrix(test_x, "test_X")
+    train_x, y = _train_set(train_x, train_y)
+    ktt = k_fn(test_x, test_x)
     kxx = k_fn(train_x, train_x)
     ktx = k_fn(test_x, train_x)
     axx = kxx + sigma2 * np.eye(kxx.shape[0])
@@ -174,13 +177,8 @@ def ntk_posterior(config: NetworkConfig, train_x, train_y, sigma2: float, test_x
     gradient descent (gradient-flow mean via Theta, covariance mixing K and
     Theta); reduces exactly to :func:`gp_posterior` when Theta == K."""
     test_x = as_matrix(test_x, "test_X")
-    train_x = np.asarray(train_x, dtype=np.float64)
+    train_x, y = _train_set(train_x, train_y)
     ktt = nngp_kernel(config, test_x, test_x)
-    if train_x.size == 0:
-        t = ktt.shape[0]
-        return GaussianPredictive(mean=np.zeros(t), cov=_clamp_psd(ktt))
-    train_x = as_matrix(train_x, "train_X")
-    y = as_matrix(train_y, "train_Y")
     pair_xx = ntk_kernel(config, train_x, train_x)
     pair_tx = ntk_kernel(config, test_x, train_x)
     kxx, theta_xx = pair_xx.K, pair_xx.Theta

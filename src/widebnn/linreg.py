@@ -20,7 +20,7 @@ import numpy as np
 import scipy.special
 
 from .errors import DimensionMismatch, RouteMismatch
-from .kernels import GaussianPredictive
+from .kernels import GaussianPredictive, gp_posterior
 from .metrics import GaussianDist, w2_kl_gaussian
 from .numkit import GaussianStream, as_matrix, is_seed, solve_spd
 
@@ -72,17 +72,16 @@ class LinRegProblem:
 def linreg_posterior(prob: LinRegProblem, method: str = "woodbury") -> GaussianDist:
     """Posterior over weights, N(mu_n, Sigma_n).
 
-    ``method`` selects between the direct form Sigma_n = (n I + X^T X)^(-1)
+    ``method`` selects between the direct form Sigma_n = (I + X^T X / n)^(-1) / n
     and its Woodbury expansion; the two must agree and the tests check it.
+    With no rows both give the prior N(0, I/n) exactly.
     """
     x, y, n, m = prob.X, prob.y, prob.n, prob.m
-    if m == 0:
-        return GaussianDist(np.zeros(n), np.eye(n) / n)
     gram = x @ x.T
     inner = np.eye(m) + gram / n
     mu = x.T @ solve_spd(inner, y) / n
     if method == "direct":
-        cov = solve_spd(n * np.eye(n) + x.T @ x, np.eye(n))
+        cov = solve_spd(np.eye(n) + x.T @ x / n, np.eye(n)) / n
     elif method == "woodbury":
         cov = (np.eye(n) - x.T @ solve_spd(inner, x) / n) / n
     else:
@@ -101,22 +100,16 @@ def ntk_rescale(p: GaussianDist, n: int) -> GaussianDist:
 def linreg_predictive(
     prob: LinRegProblem, sigma2: float, test_x, alpha: float = 1.0
 ) -> GaussianPredictive:
-    """Gaussian predictive over f(x) = x^T w with observation noise sigma2."""
+    """Gaussian predictive over f(x) = x^T w with observation noise sigma2:
+    under w ~ N(0, (alpha/n) I), f is the GP with kernel (alpha/n) u^T v, so
+    :func:`kernels.gp_posterior` with that kernel; with no rows, the prior."""
     if not sigma2 > 0:
         raise ValueError("sigma2 must be > 0")
     t = as_matrix(test_x, "test_X")
-    n = prob.n
-    if t.shape[1] != n:
+    c = alpha / prob.n  # prior variance of each weight
+    if t.shape[1] != prob.n:
         raise DimensionMismatch("test inputs must have n columns")
-    if prob.m == 0:
-        cov = (alpha / n) * (t @ t.T)
-        return GaussianPredictive(mean=np.zeros(t.shape[0]), cov=(cov + cov.T) / 2.0)
-    x, y = prob.X, prob.y
-    precision = (n / alpha) * np.eye(n) + (x.T @ x) / sigma2
-    cov_post = solve_spd(precision, np.eye(n))
-    mu_post = cov_post @ (x.T @ y) / sigma2
-    cov = t @ cov_post @ t.T
-    return GaussianPredictive(mean=t @ mu_post, cov=(cov + cov.T) / 2.0)
+    return gp_posterior(lambda a, b: c * (a @ b.T), prob.X, prob.y[:, None], sigma2, t)
 
 
 @dataclass

@@ -91,11 +91,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def check_symmetric(a: np.ndarray, name: str) -> None:
     """Raise :class:`DimensionMismatch` unless ``a`` is square and symmetric
-    within a tolerance relative to its largest entry."""
+    within a tolerance relative to its largest entry; a 0 x 0 matrix passes."""
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
     # max|x| as max(max x, -min x): two passes and no |a| temporary.
-    scale = max(a.max(), -a.min())
+    scale = max(a.max(initial=0.0), -a.min(initial=0.0))
     if scale > 0:
         skew = a - a.T
         if max(skew.max(), -skew.min()) > _SYM_RTOL * max(scale, 1.0) * a.shape[0]:

@@ -620,8 +620,12 @@ def rejection_sample(
     many submitted ahead of the merge, so threads and memory stay bounded
     whatever ``workers`` is; a failing chunk cancels the queued ones.
     Accepted proposals are extended to ``eval_x`` in slices of about
-    ``BATCH_FLOATS`` floats per array.
+    ``BATCH_FLOATS`` floats per array. An empty training set is zero rows of
+    ``input_dim`` and ``output_dim`` columns; every proposal is then accepted.
     Deterministic given (seed, chunk_size); independent of ``workers``.
+    Function-mode moments are reproducible across code versions only to about
+    1e-4 of their largest entry, as conditioning a layer on its train values
+    amplifies rounding by about 1e12 on 1-D inputs.
     """
     for name, value in (("n_proposals", n_proposals),
                         ("chunk_size", 1 if chunk_size is None else chunk_size),
@@ -630,15 +634,10 @@ def rejection_sample(
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
-    train_x = np.asarray(train_x, dtype=np.float64)
-    if train_x.size == 0:
-        train_x = np.zeros((0, config.input_dim))
-        train_y = np.zeros((0, config.output_dim))
-    else:
-        train_x = as_matrix(train_x, "train_X")
-        train_y = as_matrix(train_y, "train_Y")
-        if train_y.shape != (train_x.shape[0], config.output_dim):
-            raise DimensionMismatch("train_Y shape must be (m, output_dim)")
+    train_x = as_matrix(train_x, "train_X")
+    train_y = as_matrix(train_y, "train_Y")
+    if train_y.shape != (train_x.shape[0], config.output_dim):
+        raise DimensionMismatch("train_Y shape must be (m, output_dim)")
     if train_x.shape[1] != config.input_dim:
         raise DimensionMismatch("train_X columns must equal input_dim")
     eval_x = as_matrix(eval_x, "eval_X")

@@ -203,6 +203,14 @@ class TestBuildDataset:
         _, train_y, _ = build_dataset(cfg)
         assert np.isclose(train_y[-1, 0], 1.0)  # sin(pi/2)
 
+    @pytest.mark.parametrize("rule", ["sin", "prior_draw"])
+    def test_empty_training_set_is_zero_rows_of_each_width(self, rule):
+        doc = base_doc(network={"depth": 1, "input_dim": 1, "output_dim": 3})
+        doc["dataset"] = {"train_m": 0, "target_rule": rule}
+        train_x, train_y, test_x = build_dataset(config_from_dict(doc))
+        assert train_x.shape == (0, 1) and train_y.shape == (0, 3)
+        assert test_x.shape == (5, 1)
+
     def test_bad_range(self):
         doc = base_doc()
         doc["dataset"]["train_range"] = [1.0, -1.0]
@@ -523,6 +531,34 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["mean"]) == 5
         assert len(doc["cov"]) == 5
+
+    @pytest.mark.parametrize("output_dim", [1, 2])
+    def test_empty_training_set_nngp_is_the_prior_of_every_output(self, tmp_path, capsys,
+                                                                   output_dim):
+        cfg = self.write_config(
+            tmp_path, network={"depth": 1, "input_dim": 1, "output_dim": output_dim},
+            dataset={"train_m": 0})
+        assert cli.main(["nngp", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mean"] == [0.0] * (5 * output_dim)
+        assert np.array(doc["cov"]).shape == (5 * output_dim,) * 2
+
+    @pytest.mark.parametrize("output_dim", [1, 2])
+    def test_empty_training_set_sweep_runs_to_the_end(self, tmp_path, capsys, output_dim):
+        # The prior mean is zero, so no relative mean distance exists: its
+        # cells are empty and the summary line leaves it out.
+        cfg = self.write_config(
+            tmp_path, network={"depth": 1, "input_dim": 1, "output_dim": output_dim},
+            dataset={"train_m": 0}, n_proposals=200)
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "rf_cov_nngp=" in out and "rf_mean_nngp" not in out
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["accepts"]) for r in rows] == [200, 200]
+        for r in rows:
+            assert r["rf_mean_nngp"] == r["rf_mean_ntk"] == ""
+            assert all(math.isfinite(float(r[k])) for k in ("rf_cov_nngp", "rf_cov_ntk"))
 
     def test_sample_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

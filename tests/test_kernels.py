@@ -213,3 +213,29 @@ class TestNtkPosterior:
         t = np.linspace(-3, 3, 9)[:, None]
         post = ntk_posterior(cfg, tx, ty, 0.01, t)
         assert np.linalg.eigvalsh(post.cov).min() >= -1e-10
+
+
+class TestEmptyTrainingSet:
+    """Zero train rows take the general closed forms, which then give the
+    prior predictive for every output."""
+
+    CFG = NetworkConfig(depth=2, input_dim=1, output_dim=2, hidden_width=1)
+    T = np.array([[-1.0], [0.3], [2.0]])
+    POSTERIORS = {
+        "gp": lambda cfg, *args: gp_posterior(lambda a, b: nngp_kernel(cfg, a, b), *args),
+        "ntk": ntk_posterior,
+    }
+
+    @pytest.mark.parametrize("name", POSTERIORS)
+    def test_multi_output_prior_is_kron_with_identity(self, name):
+        post = self.POSTERIORS[name](self.CFG, np.zeros((0, 1)), np.zeros((0, 2)), 0.1, self.T)
+        ktt = nngp_kernel(self.CFG, self.T, self.T)
+        assert np.array_equal(post.mean, np.zeros(6))
+        assert np.allclose(post.cov, np.kron(ktt, np.eye(2)), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", POSTERIORS)
+    @pytest.mark.parametrize("train_rows,target_rows", [(2, 3), (0, 1)])
+    def test_train_rows_must_match(self, name, train_rows, target_rows):
+        with pytest.raises(DimensionMismatch, match="train_Y rows"):
+            self.POSTERIORS[name](self.CFG, np.zeros((train_rows, 1)),
+                                  np.zeros((target_rows, 2)), 0.1, self.T)

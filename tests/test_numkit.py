@@ -8,6 +8,7 @@ from widebnn.errors import DimensionMismatch, NotPositiveDefinite, NotPSD
 from widebnn.numkit import (
     GaussianStream,
     as_matrix,
+    check_symmetric,
     chol_batch,
     cholesky,
     ordered_map,
@@ -89,6 +90,14 @@ def test_cholesky_is_called_only_in_numkit():
 
 
 class TestSolveSpd:
+    def test_empty_system(self):
+        # An empty training set meets the closed forms as 0 x 0 systems.
+        empty = np.zeros((0, 0))
+        check_symmetric(empty, "A")
+        assert cholesky(empty).shape == (0, 0)
+        assert solve_spd(empty, np.zeros((0, 3))).shape == (0, 3)
+        assert solve_spd(empty, np.zeros(0)).shape == (0,)
+
     def test_matches_inverse(self):
         a = random_spd(5, seed=1)
         b = np.random.default_rng(2).standard_normal((5, 3))

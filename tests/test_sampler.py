@@ -362,6 +362,14 @@ class TestRejectionSampler:
             rejection_sample(linear_config(), np.zeros((2, 3)), TY[:2], LIK, EX,
                              10, seed=0)
 
+    def test_empty_training_set_is_zero_rows_of_input_dim_columns(self):
+        cfg = NetworkConfig(depth=1, input_dim=2, output_dim=1, hidden_width=3)
+        ex = np.zeros((2, 2))
+        report = rejection_sample(cfg, np.zeros((0, 2)), np.zeros((0, 1)), LIK, ex, 10, seed=0)
+        assert report.accepts == 10
+        with pytest.raises(DimensionMismatch):  # a bare [] is one column wide
+            rejection_sample(cfg, [], [], LIK, ex, 10, seed=0)
+
 
 @pytest.mark.parametrize("count,block", [
     (1, 4096), (3, 1408), (9, 512), (13, 320), (63, 128), (64, 64), (125, 64),
