@@ -88,11 +88,8 @@ def _cmd_rates(args) -> int:
 
 def _cmd_nngp(args) -> int:
     config = load_config(args.config)
-    if config.likelihood.kind != "gaussian":
-        raise ConfigError("the NNGP posterior requires a gaussian likelihood")
     train_x, train_y, test_x = build_dataset(config)
-    cfg = config.network.with_width(max(config.widths))
-    post = gp_posterior(lambda a, b: nngp_kernel(cfg, a, b),
+    post = gp_posterior(lambda a, b: nngp_kernel(config.network, a, b),
                         train_x, train_y, config.likelihood.sigma2, test_x)
     json.dump({"mean": post.mean.tolist(), "cov": post.cov.tolist()},
               sys.stdout, indent=2)

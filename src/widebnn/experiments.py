@@ -140,9 +140,11 @@ def _grid(m: int, lo: float, hi: float) -> np.ndarray:
 def build_dataset(config: ExperimentConfig):
     """Equidistant train/test grids plus targets per the configured rule; a
     ``prior_draw`` rule draws its network from ``GaussianStream(config.seed,
-    DATASET_STREAM_ID)``."""
+    DATASET_STREAM_ID)``. Both make real-valued targets: a Gaussian likelihood."""
     if config.network.input_dim != 1:
         raise ConfigError("grid datasets require input_dim = 1")
+    if config.likelihood.kind != "gaussian":
+        raise ConfigError("grid datasets require a gaussian likelihood")
     train_x = _grid(config.train_m, *config.train_range)
     test_x = _grid(config.test_m, *config.test_range)
     if config.target_rule == "sin":
@@ -179,11 +181,12 @@ def _rel_distance(a, b) -> Optional[float]:
 def width_sweep(config: ExperimentConfig) -> List[SweepRow]:
     """Run the rejection sampler at every width and measure the relative
     Frobenius distance of its posterior moments to the NNGP and NTK ones;
-    a distance is None below two accepts or against a zero reference."""
-    if config.likelihood.kind != "gaussian":
-        raise ConfigError("the width sweep requires a gaussian likelihood")
+    a distance is None below two accepts or against a zero reference.
+    Neither limit reads the hidden width, so both are computed once."""
     train_x, train_y, test_x = build_dataset(config)
-    sigma2 = config.likelihood.sigma2
+    net, sigma2 = config.network, config.likelihood.sigma2
+    nngp = gp_posterior(lambda a, b: nngp_kernel(net, a, b), train_x, train_y, sigma2, test_x)
+    ntk = ntk_posterior(net, train_x, train_y, sigma2, test_x)
 
     rows = []
     for width in config.widths:
@@ -196,9 +199,6 @@ def width_sweep(config: ExperimentConfig) -> List[SweepRow]:
         wall = time.perf_counter() - t0
         dists = (None,) * 4
         if report.moments_valid:
-            k_fn = lambda a, b: nngp_kernel(cfg, a, b)  # noqa: E731
-            nngp = gp_posterior(k_fn, train_x, train_y, sigma2, test_x)
-            ntk = ntk_posterior(cfg, train_x, train_y, sigma2, test_x)
             mean = report.posterior_mean[:, None]
             dists = (_rel_distance(mean, nngp.mean[:, None]),
                      _rel_distance(report.posterior_cov, nngp.cov),

@@ -252,37 +252,40 @@ def weight_space(fan_in: int, points: int) -> bool:
     """Whether a layer of ``fan_in`` inputs is drawn in weight space at
     ``points`` points: when its ``fan_in + 1`` weights per unit are no more
     than the points, so that it takes no more normals than its values would,
-    and no factorisation. This is the default rule of :func:`layer_normals`,
-    :func:`normals_per_draw` and :func:`sample_layers`; a rule is any
-    function of ``(fan_in, points)`` that returns this decision."""
+    and no factorisation. A layout, one such decision per sampled layer, is
+    what :func:`layer_normals` and :func:`normals_per_draw` take; by default
+    each layer's is this one at their ``m`` points."""
     return fan_in + 1 <= points
 
 
-def normals_per_draw(config: NetworkConfig, m: int, rule=weight_space) -> int:
-    """Normals that one draw of every sampled layer at ``m`` points takes:
-    ``units * (fan_in + 1)`` for a layer that ``rule`` draws in weight space,
-    else ``units * m``."""
+def normals_per_draw(config: NetworkConfig, m: int,
+                     space: Optional[Sequence[bool]] = None) -> int:
+    """Normals that one draw of every sampled layer at ``m`` points takes
+    under the layout ``space`` (per sampled layer, True for weight space):
+    ``units * (fan_in + 1)`` for a weight-space layer, else ``units * m``."""
     dims = config.layer_dims
-    return sum(dims[l + 1] * (dims[l] + 1 if rule(dims[l], m) else m)
-               for l in range(len(dims) - 1))
+    if space is None:
+        space = [weight_space(d, m) for d in dims[:-1]]
+    return sum(u * (d + 1 if ws else m) for d, u, ws in zip(dims, dims[1:], space))
 
 
 def layer_normals(z: np.ndarray, config: NetworkConfig, m: int,
-                  rule=weight_space) -> Iterator[np.ndarray]:
+                  space: Optional[Sequence[bool]] = None) -> Iterator[np.ndarray]:
     """Split each row of ``z`` into the normals of every sampled layer drawn
-    at ``m`` points, layer by layer. A layer that ``rule`` draws in weight
-    space takes its parameters in the draw-order layout of
+    at ``m`` points under the layout ``space``, layer by layer. A
+    weight-space layer takes its parameters in the draw-order layout of
     :func:`sample_prior`, W (units x fan_in) row-major then b, as a ``(batch,
     units * (fan_in + 1))`` slice; so with every layer in weight space a row
     is the flat NTK parameter vector. Every other layer takes ``(batch,
     units, m)`` normals."""
     off = 0
     dims = config.layer_dims
-    for l in range(len(dims) - 1):
-        units = dims[l + 1]
-        if rule(dims[l], m):
-            yield z[:, off:off + units * (dims[l] + 1)]
-            off += units * (dims[l] + 1)
+    if space is None:
+        space = [weight_space(d, m) for d in dims[:-1]]
+    for d, units, ws in zip(dims, dims[1:], space):
+        if ws:
+            yield z[:, off:off + units * (d + 1)]
+            off += units * (d + 1)
         else:
             yield z[:, off:off + units * m].reshape(z.shape[0], units, m)
             off += units * m
@@ -292,37 +295,35 @@ def sample_layers(config: NetworkConfig, x: np.ndarray, normals: Iterable[np.nda
                   x_cond: Optional[np.ndarray] = None,
                   f_cond: Optional[Sequence[Optional[np.ndarray]]] = None,
                   out: Optional[Sequence[np.ndarray]] = None,
-                  rule=weight_space, g_cond: Optional[dict] = None,
+                  g_cond: Optional[dict] = None,
                   g_out: Optional[dict] = None) -> Iterator[np.ndarray]:
     """Yield each sampled layer's preactivations at the points ``x`` (rows),
     units by points, from the first hidden layer to the output layer.
 
     ``normals`` yields each layer's standard normals as :func:`layer_normals`
-    splits them under the same ``rule``, and is advanced one layer at a
-    time, so a caller drawing them from a stream keeps its draw order. A
-    layer that ``rule`` puts in weight space (by default :func:`weight_space`:
-    no more weights per unit than points) takes its weights W and biases b
-    as normals, and its values are ``sigma_w / sqrt(fan_in) * W phi(h) +
-    sigma_b * b``, with ``phi(h)`` the previous layer's activations (the
-    inputs for the first layer): the NTK-convention forward pass, the
-    weight-space view of the same Gaussian (Rasmussen & Williams 2006,
-    sections 2.1-2.2). Inputs that every draw shares (the first layer's) make
-    one matrix product for the whole batch. Every other layer is drawn in
-    function space by :func:`layer_step`, from ``(batch, units, points)``
-    normals.
+    splits them, and is advanced one layer at a time, so a caller drawing
+    them from a stream keeps its draw order. Their shape gives each layer's
+    space. A 2-D ``(batch, units * (fan_in + 1))`` slice is a weight-space
+    layer: its weights W and biases b, and its values are ``sigma_w /
+    sqrt(fan_in) * W phi(h) + sigma_b * b``, with ``phi(h)`` the previous
+    layer's activations (the inputs for the first layer): the NTK-convention
+    forward pass, the weight-space view of the same Gaussian (Rasmussen &
+    Williams 2006, sections 2.1-2.2). Inputs that every draw shares (the
+    first layer's) make one matrix product for the whole batch. A 3-D
+    ``(batch, units, points)`` block is a function-space layer, drawn by
+    :func:`layer_step`.
 
     With ``x_cond`` and ``f_cond`` (the layers as yielded at ``x_cond``, same
-    batch), the layers are extended from ``x_cond`` to ``x``. The rule is
-    applied at ``x_cond``'s points: a weight-space layer takes the W and b it
-    was drawn with there as its normals, and every other layer is
-    conditioned on its values there; zero conditioning points give the plain
-    draw. Only a function-space layer and the layer before it are read from
-    ``f_cond``, so the others may be None. ``g_out``, a dict, receives the
-    activations each function-space layer after the first is drawn from
-    (``phi`` of the layer before, units by points), keyed by layer index;
-    given such a dict at ``x_cond`` as ``g_cond``, a conditioned extension
-    reads them from it instead of recomputing them from ``f_cond``, which
-    then needs only the function-space layers.
+    batch), the layers are extended from ``x_cond`` to ``x``: a weight-space
+    layer takes the W and b it was drawn with there as its normals, and
+    every other layer is conditioned on its values there; zero conditioning
+    points give the plain draw. Only a function-space layer and the layer
+    before it are read from ``f_cond``, so the others may be None. ``g_out``,
+    a dict, receives the activations each function-space layer after the
+    first is drawn from (``phi`` of the layer before, units by points), keyed
+    by layer index; given such a dict at ``x_cond`` as ``g_cond``, a
+    conditioned extension reads them from it instead of recomputing them
+    from ``f_cond``, which then needs only the function-space layers.
 
     ``out``, two flat float arrays that each hold one layer's values (batch
     x units x points), makes a plain draw allocate no batch-sized arrays:
@@ -334,7 +335,6 @@ def sample_layers(config: NetworkConfig, x: np.ndarray, normals: Iterable[np.nda
     sw, sb = config.sigma_w, config.sigma_b
     dims = config.layer_dims
     points = x.shape[0]
-    m = points if x_cond is None else x_cond.shape[0]
     g, f = x.T, None
     for li, e in enumerate(normals):
         d, units = dims[li], dims[li + 1]
@@ -344,7 +344,7 @@ def sample_layers(config: NetworkConfig, x: np.ndarray, normals: Iterable[np.nda
         dest = None
         if out is not None:
             dest = out[li % 2][:batch * units * points].reshape(batch, units, points)
-        if rule(d, m):
+        if e.ndim == 2:  # weight space
             if g.ndim == 2:  # inputs shared by every draw: one GEMM of each
                 # unit's [W b] with [sigma_w / sqrt(d) * g; sigma_b * 1^T]
                 wb = np.empty((batch, units, d + 1))
@@ -381,9 +381,10 @@ def prior_function_draws(
 
     Instead of materialising weight matrices, each layer is drawn by
     :func:`sample_layers` from its exact conditional Gaussian given the
-    previous layer: in weight space where a layer has no more weights per
-    unit than there are points (``fan_in + 1 <= n_points``, the first layer
-    at 1-D inputs), else in function space (rows of the preactivation matrix
+    previous layer, under one layout for the call: in weight space where a
+    layer has no more weights per unit than there are points
+    (:func:`weight_space`, the first layer at 1-D inputs), else in function
+    space (rows of the preactivation matrix
     are i.i.d. across units). The returned array has shape ``(n_draws,
     n_points, output_dim)`` and is equal in distribution to
     ``forward(sample_prior(...), config, x)``.
@@ -394,8 +395,8 @@ def prior_function_draws(
     stream.fresh_substream()``, and the stream is left at substream ``s +
     n_draws``: the result is deterministic given the stream, whatever the
     batch size and the core count. Draws are made in batches of about
-    ``numkit.BATCH_FLOATS`` (2**17) floats (1 MB) per layer, 13 draws at
-    width 1000 on 10 points, through :func:`numkit.ordered_map` on at most
+    ``numkit.BATCH_FLOATS`` (2**17) floats (1 MB) of the widest layer's
+    values, 13 draws at width 1000 on 10 points, through :func:`numkit.ordered_map` on at most
     the available cores, so a call of one batch runs on the calling thread.
     Each thread of a call allocates its batch arrays once, at its first
     batch, and writes every later batch into them.
@@ -408,25 +409,26 @@ def prior_function_draws(
     if not is_int(n_draws) or n_draws < 0:
         raise ValueError(f"n_draws must be an integer >= 0, got {n_draws!r}")
     m = pts.shape[0]
-    batch_size = max(1, BATCH_FLOATS // max(config.hidden_width * m, 1))
+    space = [weight_space(d, m) for d in config.layer_dims[:-1]]
+    layer_floats = max(config.layer_dims[1:]) * m  # the widest layer's values, per draw
+    batch_size = max(1, BATCH_FLOATS // max(layer_floats, 1))
 
     draws = np.empty((n_draws, m, config.output_dim))
     first = stream.fresh_substream()
-    total = normals_per_draw(config, m)
+    total = normals_per_draw(config, m, space)
     cap = min(batch_size, n_draws)
     local = threading.local()  # this call's batch arrays, one set per thread
 
     def draw(lo):
         if not hasattr(local, "z"):
-            layer_floats = cap * max(config.layer_dims[1:]) * m
             local.sub = GaussianStream(stream.seed)
             local.z = np.empty((cap, total))
-            local.layers = (np.empty(layer_floats), np.empty(layer_floats))
+            local.layers = (np.empty(cap * layer_floats), np.empty(cap * layer_floats))
         z = local.z[:min(batch_size, n_draws - lo)]
         for i, row in enumerate(z, first + lo):
             local.sub.rekey(stream.stream_id, i)
             local.sub.normal(total, out=row)
-        for f in sample_layers(config, pts, layer_normals(z, config, m), out=local.layers):
+        for f in sample_layers(config, pts, layer_normals(z, config, m, space), out=local.layers):
             pass
         draws[lo:lo + len(z)] = np.swapaxes(f, 1, 2)
 

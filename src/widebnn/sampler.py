@@ -18,19 +18,19 @@ output layer's normals at the screening point and the acceptance normal
 rest of its stage-1 row from substream 1), the eval points of its
 function-space layers, once accepted, from substream 0. The accept test
 ``log u < log likelihood`` runs in linear space first and leaves near ties
-to ``log_ndtr`` (:func:`_accepted`). By default proposals run in chunks
-that hold about ``numkit.BATCH_FLOATS`` floats of what every proposal of
-the chunk holds at once (its train-path values, or in a screened run its
-stage-1 floats), in whole blocks of G at the stage-1 row's n, merged in
-ascending order, so results are invariant to the worker count. A chunk that
-starts inside a block (a screened run's blocks hold 2,048 proposals at one
-output) draws and discards the block's earlier rows (fewer than ``G * n``:
-below 8,192 normals for rows under 64 normals, 63 rows otherwise), so
-accepts do not depend on the chunk size.
+to ``log_ndtr`` (:func:`_accepted`). Every stage-1 batch, and by default
+every chunk, holds about ``numkit.BATCH_FLOATS`` floats of stage-1
+footprint (:func:`_stage_one_floats`), chunks in whole blocks of G at the
+stage-1 row's n, merged in ascending order, so results are invariant to the
+worker count. A chunk that starts inside a block (a screened run's blocks
+hold 2,048 proposals at one output) draws and discards the block's earlier
+rows (fewer than ``G * n``: below 8,192 normals for rows under 64 normals,
+63 rows otherwise), so accepts do not depend on the chunk size.
 
 One chunk runner draws every proposal layer by layer through
 :func:`network.sample_layers`, the layer loop that prior draws use too; the
-mode is only its per-layer rule, decided at the ``m_train`` train points. A
+mode only sets the run's layer layout (:func:`_space`), decided once at the
+``m_train`` train points and read from the shape of each layer's normals. A
 weight-space layer takes its weights and biases as normals, W (units x
 fan_in) row-major then b as in :func:`network.sample_prior`, and its values
 are the NTK-convention forward pass of that layer, with no factorisation. A
@@ -113,10 +113,10 @@ forms the samples are compared with use :func:`numkit.cholesky`, which
 does not accept a singular matrix.
 
 ``mode="auto"`` picks the mode that holds fewer floats per proposal on the
-train path (``_proposal_floats``), which also sizes the default chunks, and
-``parameter`` on a tie or for parameter recording. The counts leave out the
-accept path, so at acceptance rates of a percent or more parameter mode
-can be the faster one at small widths.
+train path (``_proposal_floats``), and ``parameter`` on a tie or for
+parameter recording. The counts leave out the accept path, so at acceptance
+rates of a percent or more parameter mode can be the faster one at small
+widths.
 """
 
 from __future__ import annotations
@@ -153,8 +153,6 @@ _TINY = 1e-290  # u or ell below this is decided by the log test
 # rejects only when log u exceeds the log bound b by _BOUND_MARGIN * (1 - b).
 _SCALE_SLACK = 1e-9
 _BOUND_MARGIN = 1e-6
-# Per mode, the rule that puts a layer of fan_in inputs at m points in weight space.
-_RULES = {"parameter": lambda fan_in, points: True, "function": weight_space}
 
 
 @dataclass
@@ -326,37 +324,38 @@ def _gather(seed: int, lo: int, hi: int, count: int):
         pos = end
 
 
-def _rule_at(mode: str, m_train: int):
-    """The mode's rule decided at ``m_train`` points, whatever points a stage draws."""
-    return lambda fan_in, points: _RULES[mode](fan_in, m_train)
+def _space(config: NetworkConfig, m_train: int, mode: str) -> list:
+    """A run's layer layout: per sampled layer, whether ``mode`` draws it in
+    weight space. Parameter mode draws every layer there; function mode
+    those with no more weights per unit than the ``m_train`` train points
+    (:func:`network.weight_space`), whatever points a stage draws."""
+    return [mode == "parameter" or weight_space(d, m_train) for d in config.layer_dims[:-1]]
 
 
-def _layout(config: NetworkConfig, m_train: int, mode: str):
-    """Per sampled layer, whether the mode's rule puts it in weight space, and
-    whether a conditioned extension keeps floats of its size at the
-    conditioning points: a function-space layer's values, and the layer
-    before it, whose activations that layer is drawn from."""
-    space = [_RULES[mode](d, m_train) for d in config.layer_dims[:-1]]
-    return space, [not w or (l + 1 < len(space) and not space[l + 1]) for l, w in enumerate(space)]
+def _normals_per_proposal(config: NetworkConfig, space: Sequence[bool], points: int) -> int:
+    """A stage-1 row at ``points`` stage-1 points under the layout ``space``:
+    :func:`network.normals_per_draw`, then the acceptance normal."""
+    return normals_per_draw(config, points, space) + 1
 
 
-def _normals_per_proposal(config: NetworkConfig, m_train: int, mode: str,
-                          points: Optional[int] = None) -> int:
-    """Normals one proposal draws at ``points`` train points (all ``m_train``
-    by default) under the mode's rule at ``m_train``
-    (:func:`network.normals_per_draw`), then the acceptance normal."""
-    m = m_train if points is None else points
-    return normals_per_draw(config, m, _rule_at(mode, m_train)) + 1
+def _stage_one_floats(config: NetworkConfig, space: Sequence[bool], points: int) -> int:
+    """A proposal's stage-1 footprint, what it holds before its first accept
+    test at the ``points`` stage-1 points (one in a screened run, every train
+    point otherwise): its stage-1 row or the widest layer's values there,
+    whichever is larger. It sizes the default chunks and caps every stage-1
+    batch."""
+    return max(_normals_per_proposal(config, space, points), max(config.layer_dims[1:]) * points)
 
 
 def _proposal_floats(config: NetworkConfig, m_train: int, mode: str) -> int:
-    """Floats one proposal holds on the train path, which size the default
-    chunks and decide ``mode="auto"``: a layer's train values if the eval
-    extension keeps them (they are at least its normals), else its normals
-    (``n_params`` in parameter mode); then the acceptance normal."""
-    dims = config.layer_dims
+    """Floats one proposal of ``mode`` holds on the train path, which decide
+    ``mode="auto"``: a layer's train values if the eval extension keeps them
+    (a function-space layer and the layer before it; they are at least its
+    normals), else its normals; then the acceptance normal."""
+    dims, space = config.layer_dims, _space(config, m_train, mode)
+    kept = [not w or (l + 1 < len(space) and not space[l + 1]) for l, w in enumerate(space)]
     return sum(dims[l + 1] * (m_train if keep else dims[l] + 1)
-               for l, keep in enumerate(_layout(config, m_train, mode)[1])) + 1
+               for l, keep in enumerate(kept)) + 1
 
 
 def _survival(config: NetworkConfig, train_x: np.ndarray, train_y: np.ndarray,
@@ -445,33 +444,24 @@ def _keyed_normals(stream: GaussianStream, keys: np.ndarray, substream: int,
 
 
 def _eval_normals(z_eval: np.ndarray, train_normals, part: np.ndarray,
-                  space: Sequence[bool], dims: Sequence[int], me: int):
+                  dims: Sequence[int], me: int):
     """Each sampled layer's normals for extending the proposals ``part`` to
-    ``me`` new points: a layer drawn in weight space (``space``) reuses
-    those proposals' W and b from ``train_normals``; every other layer takes
-    its ``units * me`` normals from the rows of ``z_eval``, in layer order."""
+    ``me`` new points: a weight-space layer (a 2-D slice) reuses those
+    proposals' W and b from ``train_normals``; every other layer takes its
+    ``units * me`` normals from the rows of ``z_eval``, in layer order."""
     off = 0
     for l, theta in enumerate(train_normals):
-        if space[l]:
+        if theta.ndim == 2:
             yield theta[part]
         else:
             yield z_eval[:, off:off + dims[l + 1] * me].reshape(z_eval.shape[0], dims[l + 1], me)
             off += dims[l + 1] * me
 
 
-def _stage_one_floats(config: NetworkConfig, m_train: int, mode: str) -> int:
-    """Floats one proposal of a screened run holds at stage 1, which size its
-    default chunks and its stage-1 slices: its stage-1 row or one layer's
-    values at its one point, whichever is larger."""
-    return max(_normals_per_proposal(config, m_train, mode, 1), max(config.layer_dims[1:]))
-
-
-def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indices, scales,
+def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, space, indices, scales,
                order=None):
     mt, me = train_x.shape[0], eval_x.shape[0]
     dims = config.layer_dims
-    rule = _rule_at(mode, mt)
-    space = _layout(config, mt, mode)[0]
     # Stage k draws the train points cond_x[ends[k - 1]:ends[k]]: all of them
     # at stage 1, or in a screened run the stage groups in the screening
     # `order`. The eval extension conditions on all of them.
@@ -483,7 +473,8 @@ def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indice
     head, y_head = cond_x[:mh], y[:mh]
     units = sum(dims[l + 1] for l in range(len(space)) if not space[l])  # in function space
     eval_total = units * me
-    row = _normals_per_proposal(config, mt, mode, mh)  # a stage-1 row
+    row = _normals_per_proposal(config, space, mh)  # a stage-1 row
+    floats = _stage_one_floats(config, space, mh)
     # A screened run's block row holds the output layer's normals at p and the
     # acceptance normal, the tail of a stage-1 row; stage 0 keeps a proposal
     # unless u is above its bound, and a kept one draws the head of its row
@@ -505,30 +496,29 @@ def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indice
 
     def stage_one():
         """Yield each batch of the proposals that stage 1 draws, by index, with
-        their stage-1 rows."""
+        their stage-1 rows, at most ``_BATCH_BUDGET`` floats of footprint."""
         for pos, z in _gather(seed, lo, hi, count):
             kept = np.arange(z.shape[0])
-            if order is None:
-                yield pos + kept, z
-                continue
             if scale is not None:
                 cut = _log_bound(lik, y_head[0], z[:, :-1], *scale)
                 cut += _BOUND_MARGIN * (1.0 - cut)
                 kept = _accepted(z[:, -1], cut, np.exp(cut))
-            for rows in _slices(kept, _stage_one_floats(config, mt, mode)):
+            for rows in _slices(kept, floats):
+                if order is None:  # consecutive rows, passed on as a view
+                    yield pos + rows, z[rows[0]:rows[-1] + 1]
+                    continue
                 z_row = np.empty((rows.size, row))
                 z_row[:, head_total:] = z[rows]
                 _keyed_normals(stream, pos + rows, 1, head_total, z_row[:, :head_total])
                 yield pos + rows, z_row
 
     for keys, z in stage_one():
-        train_normals = list(layer_normals(z, config, mh, rule))
+        train_normals = list(layer_normals(z, config, mh, space))
         # A conditioned extension reads each function-space layer's values and
         # its input activations at the points drawn so far, kept from the
         # stages before.
         acts, layers = {}, []
-        for f, ws in zip(sample_layers(config, head, train_normals, rule=rule, g_out=acts),
-                         space):
+        for f, ws in zip(sample_layers(config, head, train_normals, g_out=acts), space):
             layers.append(None if ws else f)
         logl = log_likelihood_batch(lik, np.swapaxes(f, 1, 2), y_head)  # (b, m, p)
         ell = np.exp(logl)
@@ -544,10 +534,10 @@ def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indice
             for k in range(2, len(sizes) + 1):  # stage k: `part` at the next group
                 a, b = ends[k - 1], ends[k]
                 z_k = _keyed_normals(stream, keys[part], k, units * (b - a))
-                normals = _eval_normals(z_k, train_normals, part, space, dims, b - a)
+                normals = _eval_normals(z_k, train_normals, part, dims, b - a)
                 new_acts = {}
                 new = list(sample_layers(config, cond_x[a:b], normals, cond_x[:a], layers_p,
-                                         rule=rule, g_cond=acts_p, g_out=new_acts))
+                                         g_cond=acts_p, g_out=new_acts))
                 logl_new = log_likelihood_batch(lik, np.swapaxes(new[-1], 1, 2), y[a:b])
                 if k == len(sizes):
                     terms[live] = np.exp(logl_new)
@@ -563,10 +553,10 @@ def _run_chunk(config, train_x, train_y, lik, eval_x, seed, lo, hi, mode, indice
             for sub in _slices(np.arange(part.size), per_accept):
                 rows = part[sub]
                 z_eval = _keyed_normals(stream, keys[rows], 0, eval_total)
-                normals = _eval_normals(z_eval, train_normals, rows, space, dims, me)
+                normals = _eval_normals(z_eval, train_normals, rows, dims, me)
                 picked = [None if f is None else f[sub] for f in layers_p]
                 g_picked = {l: g[sub] for l, g in acts_p.items()}
-                for f_e in sample_layers(config, eval_x, normals, cond_x, picked, rule=rule,
+                for f_e in sample_layers(config, eval_x, normals, cond_x, picked,
                                          g_cond=g_picked):
                     pass
                 acc.update_block(np.swapaxes(f_e, 1, 2).reshape(rows.size, -1))
@@ -595,8 +585,8 @@ def rejection_sample(
     exact i.i.d. samples from the posterior pushed through the network.
 
     Every chunk runs through one runner, which draws each proposal layer by
-    layer with :func:`network.sample_layers`; ``mode`` is its per-layer
-    rule. ``"parameter"`` puts every layer in weight space, so a proposal's
+    layer with :func:`network.sample_layers`; ``mode`` sets its layer
+    layout. ``"parameter"`` puts every layer in weight space, so a proposal's
     normals are its flat NTK parameter vector (per layer W row-major, then
     b), which ``record_params`` indexes; ``"function"`` puts a layer in
     weight space only when ``fan_in + 1 <= m_train`` and draws the others
@@ -609,16 +599,18 @@ def rejection_sample(
     The default ``chunk_size`` holds ``numkit.BATCH_FLOATS // f`` proposals,
     rounded down to whole multiples of ``64 * ceil(64 / n)`` proposals at
     ``n`` normals per stage-1 row and at least one such multiple, so it
-    depends only on the config, ``train_x`` and the mode. ``f`` is what every
-    proposal of a chunk holds at once: its train-path floats
-    (``_proposal_floats``), or in a screened run its stage-1 row or one
-    layer's values at p, whichever is larger (320 proposals at width 100 and
-    3,072 at width 10 on the default data); later stages run in slices of
-    their survivors. A screened run's block row is shorter than its stage-1
-    row, so its chunks can start inside a block. Chunks run on
-    ``min(workers, numkit.available_cores())`` threads, at most twice that
-    many submitted ahead of the merge, so threads and memory stay bounded
-    whatever ``workers`` is; a failing chunk cancels the queued ones.
+    depends only on the config, ``train_x`` and the mode. ``f`` is the
+    stage-1 footprint (``_stage_one_floats``), the larger of the stage-1 row
+    and the widest layer's values at the stage-1 points: one point p in a
+    screened run (320 proposals at width 100 and 3,072 at width 10 on the
+    default data), every train point otherwise. Every stage-1 batch holds at
+    most ``BATCH_FLOATS`` floats of footprint, or one proposal; later
+    stages run in slices of their survivors. A screened run's block row is
+    shorter than its stage-1 row, so its chunks can start inside a block.
+    Chunks run on ``min(workers, numkit.available_cores())`` threads, at
+    most twice that many submitted ahead of the merge, so threads and memory
+    stay bounded whatever ``workers`` is; a failing chunk cancels the queued
+    ones.
     Accepted proposals are extended to ``eval_x`` in slices of about
     ``BATCH_FLOATS`` floats per array. An empty training set is zero rows of
     ``input_dim`` and ``output_dim`` columns; every proposal is then accepted.
@@ -649,21 +641,19 @@ def rejection_sample(
         fewer = (_proposal_floats(config, mt, "parameter")
                  <= _proposal_floats(config, mt, "function"))
         mode = "parameter" if record_params is not None or fewer else "function"
-    if mode not in _RULES:
+    if mode not in ("parameter", "function"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "function" and record_params is not None:
         raise ValueError("parameter recording requires mode='parameter'")
+    space = _space(config, mt, mode)
     order = None  # the train points in stage order; None: one stage
-    if mt >= 2 and not all(_layout(config, mt, mode)[0]):
+    if mt >= 2 and not all(space):
         p = int(np.argmin(_survival(config, train_x, train_y, likelihood)))
         order = np.r_[p, np.delete(np.arange(mt), p)]
     if chunk_size is None:
-        if order is None:
-            floats, points = _proposal_floats(config, mt, mode), mt
-        else:
-            floats, points = _stage_one_floats(config, mt, mode), 1
-        block = _block_size(_normals_per_proposal(config, mt, mode, points))
-        per_chunk = _BATCH_BUDGET // floats
+        points = mt if order is None else 1
+        block = _block_size(_normals_per_proposal(config, space, points))
+        per_chunk = _BATCH_BUDGET // _stage_one_floats(config, space, points)
         chunk_size = max(block, per_chunk - per_chunk % block)
 
     indices = scales = None
@@ -674,7 +664,7 @@ def rejection_sample(
     def run(lo):
         hi = min(lo + chunk_size, n_proposals)
         return _run_chunk(config, train_x, train_y, likelihood, eval_x, seed, lo, hi,
-                          mode, indices, scales, order)
+                          space, indices, scales, order)
 
     acc = MomentAccumulator.zeros(eval_x.shape[0] * config.output_dim)
     pstats = MomentAccumulator.zeros(len(indices)) if indices is not None else None

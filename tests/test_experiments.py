@@ -24,7 +24,7 @@ from widebnn.experiments import (
 from widebnn.likelihood import LikelihoodSpec
 from widebnn.network import NetworkConfig, forward, sample_prior
 from widebnn.numkit import GaussianStream
-from widebnn import cli, linreg, metrics, sampler
+from widebnn import cli, experiments, linreg, metrics, sampler
 
 
 def base_doc(**over):
@@ -255,6 +255,22 @@ class TestWidthSweep:
             network={"depth": 1, "input_dim": 1, "output_dim": 2}))
         with pytest.raises(ConfigError):
             width_sweep(cfg)
+
+    def test_limits_are_computed_once_per_sweep(self, monkeypatch):
+        # Neither posterior reads the hidden width: three widths, one call each.
+        calls = []
+
+        def counted(name):
+            real = getattr(experiments, name)
+            return lambda *a, **kw: calls.append(name) or real(*a, **kw)
+
+        for name in ("gp_posterior", "ntk_posterior"):
+            monkeypatch.setattr(experiments, name, counted(name))
+        doc = base_doc(likelihood={"kind": "gaussian", "sigma2": 0.5}, widths=[1, 4, 8],
+                       n_proposals=3000)
+        rows = width_sweep(config_from_dict(doc))
+        assert all(r.rf_cov_nngp is not None for r in rows)
+        assert sorted(calls) == ["gp_posterior", "ntk_posterior"]
 
     def test_statistical_columns_worker_invariant(self, monkeypatch):
         monkeypatch.setattr(sampler, "available_cores", lambda: 2)  # a pool on any host
@@ -567,6 +583,15 @@ class TestCli:
         assert doc["width"] == 8
         assert doc["proposals"] == 2000
         assert 0 <= doc["accepts"] <= 2000
+
+    def test_sample_with_categorical_likelihood_exit_code(self, tmp_path, capsys):
+        # The grid targets are real-valued, so no categorical config can run.
+        cfg = self.write_config(tmp_path, likelihood={"kind": "categorical", "num_classes": 3})
+        assert cli.main(["sample", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0] == "error: grid datasets require a gaussian likelihood"
+        assert captured.out == ""
 
     def test_sample_width_defaults_to_the_config(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, network={"depth": 1, "input_dim": 1,

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,10 +164,9 @@ class TestBatchedForward:
         rng = np.random.default_rng(depth * 10 + input_dim)
         flat = rng.standard_normal((9, cfg.n_params + 1))[:, :-1]  # strided, as in the sampler
         x = rng.standard_normal((6, input_dim))
-        everywhere = lambda fan_in, points: True  # noqa: E731
+        everywhere = [True] * (depth + 1)
         assert network.normals_per_draw(cfg, 6, everywhere) == cfg.n_params
-        for f in network.sample_layers(cfg, x, network.layer_normals(flat, cfg, 6, everywhere),
-                                       rule=everywhere):
+        for f in network.sample_layers(cfg, x, network.layer_normals(flat, cfg, 6, everywhere)):
             pass
         batched = np.swapaxes(f, 1, 2)
         stacked = np.stack([forward(network._split_flat(p, ntk), ntk, x) for p in flat])
@@ -367,6 +367,21 @@ class TestPriorFunctionDraws:
                     self.set_batch(monkeypatch, cfg, x, batch_size)
                 draws.add(prior_function_draws(cfg, x, 30, GaussianStream(4, 2)).tobytes())
         assert len(draws) == 1
+
+    def test_wide_output_batches_hold_the_widest_layer_within_budget(self):
+        # Width 1 and 100 outputs on 10 points: a batch is sized by the output
+        # layer, 131 draws, so besides the 160 MB result each thread holds
+        # about 2 MB of layer values, not two layers of 13,107 draws.
+        cfg = NetworkConfig(depth=2, input_dim=1, output_dim=100, hidden_width=1)
+        x = np.linspace(-1.0, 1.0, 10)[:, None]
+        tracemalloc.start()
+        try:
+            draws = prior_function_draws(cfg, x, 20_000, GaussianStream(0, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draws.shape == (20_000, 10, 100)
+        assert peak - draws.nbytes < 16 * BATCH_FLOATS * 8
 
     def test_draw_i_takes_substream_i(self):
         cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=4)

@@ -430,12 +430,13 @@ def test_eval_keys_are_apart_from_block_ids_and_the_dataset_stream():
 
 
 def floats_per_proposal(cfg, m, mode):
-    """Parameter mode holds its normals; function mode every layer's train
-    values, or, when it screens (two or more train points; every function-mode
-    case here has a function-space layer), its stage-1 row at one point or one
-    layer's values there, whichever is larger."""
+    """Parameter mode holds its normals or the widest layer's train values,
+    whichever is larger; function mode every layer's train values, or, when it
+    screens (two or more train points; every function-mode case here has a
+    function-space layer), its stage-1 row at one point or one layer's values
+    there, whichever is larger."""
     if mode == "parameter":
-        return cfg.n_params + 1
+        return max(cfg.n_params + 1, max(cfg.layer_dims[1:]) * m)
     if m >= 2:
         dims = cfg.layer_dims
         row = sum(u * (d + 1 if d + 1 <= m else 1) for d, u in zip(dims, dims[1:])) + 1
@@ -451,6 +452,7 @@ SPAN_CASES = [
     (3, 100, 4, "function", 1_000, 320),       # 402 floats at stage 1: blocks of 64
     (3, 1000, 4, "function", 200, 64),         # 4,002 at stage 1: one block, over budget
     (1, 1000, 1, "parameter", 300, 64),        # 3,002 normals
+    (1, 100, 1000, "parameter", 200, 64),      # 302 normals, 100,000 layer values
 ]
 
 
@@ -476,8 +478,8 @@ def test_default_spans_are_whole_blocks_within_budget(depth, width, m, mode, n, 
     assert report.proposals == n and report.mean_likelihood == 1.0
     count = floats_per_proposal(cfg, m, mode)
     screened = mode == "function" and m >= 2
-    block = sampler._block_size(sampler._normals_per_proposal(cfg, m, mode,
-                                                              1 if screened else m))
+    block = sampler._block_size(sampler._normals_per_proposal(
+        cfg, sampler._space(cfg, m, mode), 1 if screened else m))
     assert [lo for lo, _ in spans] == list(range(0, n, spans[0][1]))
     assert spans[-1][1] == n
     for lo, hi in spans:
@@ -497,7 +499,7 @@ def test_function_mode_normals_per_proposal(width, count):
     # Depth 3 on 4 train points: a layer of fan-in d takes d + 1 normals per
     # unit in weight space (d + 1 <= 4), else 4; plus the acceptance normal.
     cfg = NetworkConfig(depth=3, input_dim=1, output_dim=1, hidden_width=width)
-    assert sampler._normals_per_proposal(cfg, 4, "function") == count
+    assert sampler._normals_per_proposal(cfg, sampler._space(cfg, 4, "function"), 4) == count
 
 
 @pytest.mark.parametrize("width,eval_keys", [(1, False), (10, True)])
@@ -518,6 +520,24 @@ def test_weight_space_layers_take_no_eval_normals(width, eval_keys, monkeypatch)
                               EX, 2_000, seed=4, mode="function")
     assert report.accepts > 100
     assert any(k >= sampler._EVAL_KEYS for k in drawn_from) == eval_keys
+
+
+def test_layer_values_above_the_row_bound_an_unscreened_run():
+    # Depth 1, width 100 on 1,000 train points in parameter mode: a stage-1
+    # row is 302 normals, but the first layer's train values are 100,000
+    # floats per proposal, so the stage-1 batches hold one proposal each.
+    cfg = NetworkConfig(depth=1, input_dim=1, output_dim=1, hidden_width=100)
+    tx = np.linspace(-3.0, 3.0, 1000)[:, None]
+    ex = np.linspace(-3.0, 3.0, 10)[:, None]
+    tracemalloc.start()
+    try:
+        report = rejection_sample(cfg, tx, np.sin(tx), LikelihoodSpec("gaussian", sigma2=1e3),
+                                  ex, 256, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.mode == "parameter" and report.accepts == 143
+    assert peak < 4 * BATCH_FLOATS * 8
 
 
 def test_default_chunks_are_worker_invariant():
@@ -843,10 +863,10 @@ def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
     n, seed, mt, dims = 640, 3, tx.shape[0], cfg.layer_dims
     orders, drawn = [], collections.defaultdict(set)
 
-    def spy(config, train_x, train_y, lik_, eval_x, seed_, lo, hi, mode, indices, scales,
+    def spy(config, train_x, train_y, lik_, eval_x, seed_, lo, hi, space, indices, scales,
             order):
         orders.append(order)
-        return runner(config, train_x, train_y, lik_, eval_x, seed_, lo, hi, mode, indices,
+        return runner(config, train_x, train_y, lik_, eval_x, seed_, lo, hi, space, indices,
                       scales, order)
 
     def rekey_spy(self, stream_id, substream=0):
@@ -864,8 +884,8 @@ def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
     assert list(order) == [p] + [i for i in range(mt) if i != p]
     assert sorted(drawn) == [1, 2, 3]
     cx, cy = tx[order], ty[order]
-    rule = lambda fan_in, points: fan_in + 1 <= mt  # noqa: E731  (decided at m_train)
-    row = sum(u * (d + 1 if rule(d, mt) else 1) for d, u in zip(dims, dims[1:])) + 1
+    space = [d + 1 <= mt for d in dims[:-1]]  # decided at m_train
+    row = sum(u * (d + 1 if ws else 1) for d, u, ws in zip(dims, dims[1:], space)) + 1
     count = dims[-1] + 1  # the block row: the output layer at p, then u
 
     def keyed(substream, total):  # every proposal's normals at a substream of its key
@@ -878,8 +898,8 @@ def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
 
     z = np.hstack([keyed(1, row - count)] + [rows for _, rows in _gather(seed, 0, n, count)])
     log_u = scipy.special.log_ndtr(z[:, -1])
-    theta = list(layer_normals(z, cfg, 1, rule))
-    layers = list(sample_layers(cfg, cx[:1], theta, rule=rule))
+    theta = list(layer_normals(z, cfg, 1, space))
+    layers = list(sample_layers(cfg, cx[:1], theta))
     logl = log_likelihood_batch(lik, np.swapaxes(layers[-1], 1, 2), cy[:1])
     out_at_p = log_u >= logl
     assert 0 < out_at_p.sum() < n
@@ -892,12 +912,12 @@ def test_screened_out_proposals_fail_the_full_test(case, monkeypatch):
     alive, screened_out = ~out_at_p, [out_at_p]
     for k, (a, b) in enumerate([(1, 2), (2, 4)], start=2):
         assert drawn[k] == set(np.nonzero(alive)[0])
-        per_unit = [0 if rule(d, mt) else u * (b - a) for d, u in zip(dims, dims[1:])]
+        per_unit = [0 if ws else u * (b - a) for u, ws in zip(dims[1:], space)]
         z_k = keyed(k, sum(per_unit))
         cuts = np.cumsum([0] + per_unit)
         normals = [th if not w else z_k[:, c:c + w].reshape(n, -1, b - a)
                    for th, c, w in zip(theta, cuts, per_unit)]
-        new = list(sample_layers(cfg, cx[a:b], normals, cx[:a], layers, rule=rule))
+        new = list(sample_layers(cfg, cx[a:b], normals, cx[:a], layers))
         layers = [np.concatenate([f, f_n], axis=-1) for f, f_n in zip(layers, new)]
         logl = logl + log_likelihood_batch(lik, np.swapaxes(new[-1], 1, 2), cy[a:b])
         screened_out.append(alive & (log_u >= logl))
@@ -964,11 +984,11 @@ def test_kept_activations_extend_like_recomputed_ones(nonlinearity):
                         nonlinearity=nonlinearity)
     rng = np.random.default_rng(4)
     x, x_new = rng.standard_normal((3, 2)), rng.standard_normal((5, 2))
-    rule = lambda fan_in, points: fan_in + 1 <= 3  # noqa: E731  (decided at x)
-    z = GaussianStream(8).normal(10 * normals_per_draw(cfg, 3, rule)).reshape(10, -1)
-    theta = list(layer_normals(z, cfg, 3, rule))
+    space = [d + 1 <= 3 for d in cfg.layer_dims[:-1]]  # decided at x
+    z = GaussianStream(8).normal(10 * normals_per_draw(cfg, 3, space)).reshape(10, -1)
+    theta = list(layer_normals(z, cfg, 3, space))
     acts = {}
-    at_x = list(sample_layers(cfg, x, theta, rule=rule, g_out=acts))
+    at_x = list(sample_layers(cfg, x, theta, g_out=acts))
     assert sorted(acts) == [1, 2, 3]  # layer 0 (fan_in 2) is in weight space
     phi = nonlinearity_fn(nonlinearity)
     assert all(np.array_equal(g, phi(at_x[l - 1])) for l, g in acts.items())
@@ -977,9 +997,9 @@ def test_kept_activations_extend_like_recomputed_ones(nonlinearity):
     def normals():  # layer 0 reuses its W and b; units 6, 6 and 1 take 5 each
         return [theta[0], e[:, :6], e[:, 6:12], e[:, 12:]]
 
-    want = list(sample_layers(cfg, x_new, normals(), x, at_x, rule=rule))
+    want = list(sample_layers(cfg, x_new, normals(), x, at_x))
     fs_only = [None] + at_x[1:]  # with g_cond only function-space layers are read
-    got = list(sample_layers(cfg, x_new, normals(), x, fs_only, rule=rule, g_cond=acts))
+    got = list(sample_layers(cfg, x_new, normals(), x, fs_only, g_cond=acts))
     assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
